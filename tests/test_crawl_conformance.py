@@ -109,40 +109,20 @@ class TestCrawlConformance:
             load_ledger(str(tmp_path / "drv")), load_ledger(str(tmp_path / "ray"))
         )
 
-    def test_model_cache_is_content_keyed(self, tiny_corpus):
-        """warm_workers pre-builds scorer models under its own ray.put; the
-        crawl's own lexicon ObjectRef must hit the same build (cache keys on
-        lexicon CONTENT, not ref identity)."""
+    def test_model_cache_is_keyed_by_lexicon_ref(self, tiny_corpus):
+        """Wave tasks reuse the worker's scorer model while the crawl's
+        lexicon ObjectRef stays the same; the next crawl's ray.put is a new
+        ref and must rebuild (its lexicon or config may differ)."""
         import ray
 
         import webcrawl_lowres_lang_ray.frontier as fr
         from webcrawl_lowres_lang_ray.sources.synth import load_lexicon
 
-        lex = load_lexicon(tiny_corpus)
-        m1 = fr._get_model(ray.put(lex), CFG)
-        m2 = fr._get_model(ray.put(dict(lex)), CFG)  # different ref, same content
-        assert m1 is m2
-        # the scorer's behavior depends on CrawlConfig → config is part of
-        # the key: same lexicon under a different scoring config must NOT
-        # reuse the model
-        m3 = fr._get_model(ray.put(lex), CrawlConfig(lang_supported=False))
-        assert m3 is not m1
-
-    def test_wave_dispatch_tasks_equals_dataset(self, tiny_corpus, tmp_path, monkeypatch):
-        """The raw-task scatter/gather dispatch of the driver-path wave
-        (default) and the Dataset from_pandas->map_batches->to_pandas
-        dispatch produce bit-for-bit identical ledgers."""
-        import webcrawl_lowres_lang_ray.frontier as fr
-
-        monkeypatch.setattr(fr, "SMALL_WAVE_MAX_ROWS", 0)  # force fan-out
-        monkeypatch.setattr(fr, "_WAVE_DISPATCH", "tasks")
-        run_crawl(tiny_corpus, str(tmp_path / "tasks"), CFG)
-        monkeypatch.setattr(fr, "_WAVE_DISPATCH", "dataset")
-        run_crawl(tiny_corpus, str(tmp_path / "dataset"), CFG)
-        _assert_ledger_equal(
-            load_ledger(str(tmp_path / "tasks")),
-            load_ledger(str(tmp_path / "dataset")),
-        )
+        ref = ray.put(load_lexicon(tiny_corpus))
+        m1 = fr._get_model(ref, CFG)
+        assert fr._get_model(ref, CFG) is m1
+        m2 = fr._get_model(ray.put({"w": 1}), CrawlConfig(lang_supported=False))
+        assert m2 is not m1 and m2.cfg.lang_supported is False
 
     def test_wave_task_survives_worker_crash(self, tiny_corpus, tmp_path, monkeypatch):
         """Fault tolerance of the raw-task wave dispatch: a worker process
@@ -169,7 +149,6 @@ class TestCrawlConformance:
             return fn(blk)
 
         monkeypatch.setattr(fr, "SMALL_WAVE_MAX_ROWS", 0)  # force fan-out
-        monkeypatch.setattr(fr, "_WAVE_DISPATCH", "tasks")
         monkeypatch.setattr(fr, "_apply_wave_block", dying)
         run_crawl(tiny_corpus, str(tmp_path / "crashed"), CFG)
         assert (tmp_path / "died_once").exists(), "crash hook never fired"

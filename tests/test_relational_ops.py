@@ -767,3 +767,15 @@ class TestDailyActiveUsers:
         assert (out["stickiness"] <= 1.0).all()
         # trailing window: wau never exceeds 7x dau max
         assert (out["wau"] <= 7 * out["dau"].max()).all()
+
+
+class TestAsofGap:
+    def test_half_millisecond_tie_rounds_like_duckdb(self):
+        """DuckDB's round(epoch(c.ts - v.ts), 3) gives 332352.299 for a
+        332,352,299,500 us gap; total_seconds() would round it to .3."""
+        from webcrawl_lowres_lang_ray.pipelines.queries import interval_epoch_sec
+        from webcrawl_lowres_lang_ray.stages.textstats import round_half_away
+
+        td = pd.Series(pd.to_timedelta([332_352_299_500, 0, 1_500, 86_400_000_000], unit="us"))
+        got = round_half_away(interval_epoch_sec(td), 3)
+        assert got.tolist() == [332352.299, 0.0, 0.002, 86400.0]

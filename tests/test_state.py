@@ -16,6 +16,17 @@ def _digest(i: int) -> bytes:
     return hashlib.sha1(str(i).encode()).digest()
 
 
+def _probe_add(shards, keys) -> np.ndarray:
+    """The crawl's insertion protocol (frontier._insert_driver): a read-only
+    probe, then an add of exactly the keys it reported new."""
+    from webcrawl_lowres_lang_ray.state.seen import seen_add, seen_probe_new
+
+    new = seen_probe_new(shards, keys)
+    if new.any():
+        seen_add(shards, [k for k, n in zip(keys, new) if n])
+    return new
+
+
 class TestCuckooFilter:
     def test_no_false_negatives(self):
         cf = CuckooFilter(capacity=4096)
@@ -43,35 +54,42 @@ class TestCuckooFilter:
 @pytest.mark.usefixtures("ray_session")
 class TestSeenShards:
     def test_contains_and_add_first_wins(self):
-        from webcrawl_lowres_lang_ray.state.seen import (
-            create_seen_shards,
-            seen_filter_new,
-        )
+        """A key is new only in the first batch that carries it."""
+        from webcrawl_lowres_lang_ray.state.seen import create_seen_shards
 
         shards = create_seen_shards(4)
         batch1 = [_digest(i) for i in range(100)]
-        new1 = seen_filter_new(shards, batch1)
-        assert new1.all()
+        assert _probe_add(shards, batch1).all()
         batch2 = [_digest(i) for i in range(50, 150)]
-        new2 = seen_filter_new(shards, batch2)
+        new2 = _probe_add(shards, batch2)
         assert (~new2[:50]).all() and new2[50:].all()
 
-    def test_snapshot_restore_roundtrip(self):
+    def test_snapshot_restore_roundtrip(self, tmp_path):
+        """Per-wave delta snapshots restore to the same membership, whatever
+        order each shard's delta files arrive in (resume reads them from a
+        directory listing)."""
+        import ray
+
         from webcrawl_lowres_lang_ray.state.seen import (
             create_seen_shards,
-            restore_all,
-            seen_filter_new,
-            snapshot_all,
+            restore_all_from,
+            snapshot_all_to,
         )
 
         shards = create_seen_shards(3)
-        keys = [_digest(i) for i in range(200)]
-        seen_filter_new(shards, keys)
-        blobs = snapshot_all(shards)
+        waves = [[_digest(i) for i in range(w * 200, w * 200 + 200)] for w in range(2)]
+        paths = []
+        for w, keys in enumerate(waves):
+            _probe_add(shards, keys)
+            paths.append([str(tmp_path / f"w{w}-{s}.bin") for s in range(3)])
+            snapshot_all_to(shards, paths[-1])
         fresh = create_seen_shards(3)
-        restore_all(fresh, blobs)
-        again = seen_filter_new(fresh, keys)
-        assert not again.any()  # everything already present after restore
+        restored = restore_all_from(fresh, [[p1, p0] for p0, p1 in zip(*paths)])
+        assert sum(restored) == 400
+        assert sum(ray.get([s.size.remote() for s in fresh])) == 400
+        # everything already present after restore; a non-member is still new
+        assert not _probe_add(fresh, waves[0] + waves[1]).any()
+        assert _probe_add(fresh, [_digest(9_999_999)]).all()
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -85,13 +103,12 @@ class TestPagedSeenStore:
 
         from webcrawl_lowres_lang_ray.state.seen import (
             create_seen_shards,
-            seen_filter_new,
             snapshot_all_to,
         )
 
         shards = create_seen_shards(3)
         wave1 = [_digest(i) for i in range(500)]
-        assert seen_filter_new(shards, wave1).all()
+        assert _probe_add(shards, wave1).all()
         snapshot_all_to(
             shards, [str(tmp_path / f"d1-{s}.bin") for s in range(3)]
         )
@@ -100,16 +117,16 @@ class TestPagedSeenStore:
         assert sum(ray.get([s.run_count.remote() for s in shards])) >= 1
         # membership is exact across the run files: members all present,
         # a disjoint probe set all absent (cuckoo FPs must be confirmed away)
-        assert not seen_filter_new(shards, wave1).any()
+        assert not _probe_add(shards, wave1).any()
         probes = [_digest(i) for i in range(10_000, 12_000)]
-        assert seen_filter_new(shards, probes).all()  # marks wave2 seen
+        assert _probe_add(shards, probes).all()  # marks wave2 seen
         snapshot_all_to(
             shards, [str(tmp_path / f"d2-{s}.bin") for s in range(3)]
         )
         assert sum(ray.get([s.ram_key_count.remote() for s in shards])) == 0
         # spans both runs + fresh keys in one batch
         mixed = wave1[::7] + probes[::5] + [_digest(i) for i in range(20_000, 20_050)]
-        got = seen_filter_new(shards, mixed)
+        got = _probe_add(shards, mixed)
         expect = np.array(
             [False] * len(wave1[::7]) + [False] * len(probes[::5]) + [True] * 50
         )
@@ -143,21 +160,20 @@ class TestPagedSeenStore:
         from webcrawl_lowres_lang_ray.state.seen import (
             create_seen_shards,
             restore_all_from,
-            seen_filter_new,
             snapshot_all_to,
         )
 
         shards = create_seen_shards(2)
         keys = [_digest(i) for i in range(400)]
-        seen_filter_new(shards, keys)
+        _probe_add(shards, keys)
         paths = [str(tmp_path / f"d-{s}.bin") for s in range(2)]
         snapshot_all_to(shards, paths)
         fresh = create_seen_shards(2)
         restore_all_from(fresh, [[p] for p in paths])
         # restored exact authority is the memmapped run, not actor RAM
         assert sum(ray.get([s.ram_key_count.remote() for s in fresh])) == 0
-        assert not seen_filter_new(fresh, keys).any()
-        assert seen_filter_new(fresh, [_digest(9_999_999)]).all()
+        assert not _probe_add(fresh, keys).any()
+        assert _probe_add(fresh, [_digest(9_999_999)]).all()
 
     def test_budget_dropped_candidates_recrawlable(self):
         """oracle.py:106-112 order: the max_pages budget drops a candidate
@@ -198,6 +214,8 @@ class TestRobotsCache:
     def test_caching_and_blocking(self, small_corpus):
         import os
 
+        from webcrawl_lowres_lang_ray.functions.hashing import host_bucket_batch
+        from webcrawl_lowres_lang_ray.functions.urltools import host_batch
         from webcrawl_lowres_lang_ray.sources.synth import load_robots
         from webcrawl_lowres_lang_ray.state.robots import (
             create_robots_actors,
@@ -214,12 +232,51 @@ class TestRobotsCache:
             "https://unknown.example.net/anything",
             f"https://{host}/private/y",
         ]
-        mask = robots_blocked_mask(actors, urls)
+        buckets = host_bucket_batch(host_batch(urls), 256)
+        mask = robots_blocked_mask(actors, urls, buckets)
         assert list(mask) == [True, False, False, True]
-        # cache: the host's rules fetched once per owning shard despite 2 queries
+        # cache: each host's rules fetched once despite repeat queries
+        assert list(robots_blocked_mask(actors, urls, buckets)) == list(mask)
         stats = ray.get([a.stats.remote() for a in actors])
-        total_fetches = sum(s["fetches"] for s in stats)
-        assert total_fetches <= 2  # one per distinct host routed
+        assert sum(s["fetches"] for s in stats) == 2  # distinct hosts
+
+    def test_each_host_cached_once_across_processes(self, small_corpus):
+        """Two worker processes (each with its own salted str ``hash``) gate
+        the same URLs through the crawl's candidate prep: every host must
+        route to one shard, so the summed robots fetches equal the number
+        of distinct hosts."""
+        import os
+
+        import pandas as pd
+        import ray
+
+        from webcrawl_lowres_lang_ray.config import CrawlConfig
+        from webcrawl_lowres_lang_ray.frontier import _prepare_candidates
+        from webcrawl_lowres_lang_ray.state.robots import create_robots_actors
+
+        urls = [f"https://host{h}.example.org/p{i}" for h in range(40) for i in range(3)]
+        cand = pd.DataFrame(
+            {
+                "url": urls,
+                "query_id": np.int64(0),
+                "engine": "link",
+                "ord1": np.arange(len(urls), dtype=np.int64),
+                "ord2": np.int64(0),
+            }
+        )
+        actors = create_robots_actors(os.path.join(small_corpus, "robots.parquet"), 2)
+
+        # max_calls=1: each call runs in a fresh worker process
+        @ray.remote(num_cpus=1, max_calls=1)
+        def gate(cand, actors):
+            _prepare_candidates(cand, CrawlConfig(), actors)
+            return os.getpid()
+
+        pids = ray.get([gate.remote(cand, actors) for _ in range(2)])
+        assert len(set(pids)) == 2
+        stats = ray.get([a.stats.remote() for a in actors])
+        assert sum(s["fetches"] for s in stats) == 40
+        assert sum(s["hosts_cached"] for s in stats) == 40
 
 
 class TestPoliteness:

@@ -3,7 +3,7 @@
 Stage flags mirror the reference's ``--run_querygen/--run_websearch/
 --run_download/--run_nlp/--all`` surface (lrl-crawler.py:81-91); in the
 rebuild the search+download+nlp stages are one streaming crawl, so the
-stages are: crawl, report, regen-lexicon, bench.
+stages are: crawl, report, regen-lexicon.
 
 Examples:
     python -m webcrawl_lowres_lang_ray.cli crawl --corpus <dir> --out /tmp/run1

@@ -154,92 +154,20 @@ class CrawlStats:
 
 
 # ---------------------------------------------------------------------------
-# scorer-model cache: one model per worker process (stateless map_batches
-# tasks reuse worker processes, so the model loads once per worker — the
-# actor-pool pattern without per-wave pool churn; cf. stages/score.py for
-# the explicit actor-pool form of the same stage)
+# scorer-model cache: one model per worker process (stateless wave tasks
+# reuse worker processes, so the model builds once per worker per crawl).
+# Each run_crawl puts its lexicon once under one fixed cfg, so the lexicon
+# ObjectRef alone identifies the model and one slot is enough.
 # ---------------------------------------------------------------------------
-_MODEL_CACHE: dict[str, LangScoringModel] = {}
-
-
-def _lexicon_fingerprint(lexicon: dict[str, int], cfg: CrawlConfig) -> str:
-    """Stable content key for the model cache: the same (lexicon, config)
-    pair arriving under two different ObjectRefs (e.g. warm_workers'
-    ray.put vs run_crawl's own) must hit one model build per worker.  The
-    scorer's behavior depends on CrawlConfig fields (lang_supported,
-    confidence thresholds, ...), so the config is part of the key — and
-    tokens/counts are delimiter-separated so ("word2", 2) and ("word", 22)
-    cannot collide."""
-    import hashlib
-
-    h = hashlib.md5()
-    h.update(repr(cfg).encode())  # dataclass repr: all fields, stable order
-    h.update(b"\x00")
-    for tok in sorted(lexicon):
-        h.update(tok.encode())
-        h.update(b"\x1f")
-        h.update(str(lexicon[tok]).encode())
-        h.update(b"\x1e")
-    return h.hexdigest()
+_MODEL_CACHE: tuple[str, LangScoringModel] | None = None
 
 
 def _get_model(lexicon_ref, cfg: CrawlConfig) -> LangScoringModel:
-    rkey = lexicon_ref.hex() if hasattr(lexicon_ref, "hex") else str(id(lexicon_ref))
-    key = (rkey, repr(cfg))
-    model = _MODEL_CACHE.get(key)
-    if model is None:
-        lexicon = ray.get(lexicon_ref)
-        ckey = _lexicon_fingerprint(lexicon, cfg)
-        model = _MODEL_CACHE.get(ckey)
-        if model is None:
-            model = LangScoringModel(lexicon, cfg)
-            _MODEL_CACHE[ckey] = model
-        _MODEL_CACHE[key] = model  # fast path for later calls on this ref
-    return model
-
-
-def warm_workers(corpus_dir: str, cfg: CrawlConfig | None = None,
-                 timeout_sec: float = 30.0) -> int:
-    """Build the scorer model in every worker process as one-time untimed
-    cluster setup.  N = cluster-CPU tasks are scheduled concurrently and
-    each holds its slot until ALL N have built (zero-CPU barrier actor, so
-    slow worker cold-start cannot release early slots for reuse); the
-    content-keyed model cache then makes the timed crawl's own lexicon
-    ObjectRef a cache hit — pass the SAME cfg the crawl will use, since
-    the config is part of the model key.  Returns the number of distinct
-    worker pids warmed."""
-    from webcrawl_lowres_lang_ray.sources.synth import load_lexicon
-
-    n = int(ray.cluster_resources().get("CPU", 8))
-    ref = ray.put(load_lexicon(corpus_dir))
-    cfg = cfg or CrawlConfig()
-
-    @ray.remote(num_cpus=0)
-    class _Barrier:
-        def __init__(self, n):
-            self.n = n
-            self.c = 0
-
-        def arrive(self):
-            self.c += 1
-
-        def ready(self):
-            return self.c >= self.n
-
-    bar = _Barrier.remote(n)
-    deadline = time.time() + timeout_sec  # safety cap only, not the sync
-
-    @ray.remote(num_cpus=1)
-    def _build(ref_wrap, cfg, bar, deadline):
-        _get_model(ref_wrap[0], cfg)
-        ray.get(bar.arrive.remote())
-        while time.time() < deadline and not ray.get(bar.ready.remote()):
-            time.sleep(0.05)
-        return os.getpid()
-
-    pids = ray.get([_build.remote([ref], cfg, bar, deadline) for _ in range(n)])
-    ray.kill(bar)
-    return len(set(pids))
+    global _MODEL_CACHE
+    key = lexicon_ref.hex()
+    if _MODEL_CACHE is None or _MODEL_CACHE[0] != key:
+        _MODEL_CACHE = (key, LangScoringModel(ray.get(lexicon_ref), cfg))
+    return _MODEL_CACHE[1]
 
 
 # ---------------------------------------------------------------------------
@@ -484,10 +412,14 @@ def _prepare_candidates(
     df["bucket"] = host_bucket_batch(df["host"].to_numpy(), cfg.num_url_buckets)
     rel = relative_mask_batch(urls)
     df["is_rel"] = rel
-    if cfg.apply_robots and robots_actors:
-        df["robots_blocked"] = robots_blocked_mask(robots_actors, list(urls)) & ~rel
-    else:
-        df["robots_blocked"] = False
+    blocked = np.zeros(len(df), dtype=bool)
+    absolute = ~rel
+    if cfg.apply_robots and robots_actors and absolute.any():
+        # relative links never fetch: only absolute ones ask the robots cache
+        blocked[absolute] = robots_blocked_mask(
+            robots_actors, list(urls[absolute]), df["bucket"].to_numpy()[absolute]
+        )
+    df["robots_blocked"] = blocked
     if "priority" not in df.columns:  # seeds may carry their own priority
         df["priority"] = np.int64(cfg.link_priority)
     return df
@@ -597,9 +529,6 @@ def _insert_streamed(
     )
     if sections is not None:
         sections["exec_main"] = round(time.time() - t0, 3)
-    if os.environ.get("WLLR_STREAM_STATS"):  # perf diagnostics only
-        with open("/tmp/wllr_stream_stats.txt", "a") as fh:
-            fh.write(survivors.stats() + "\n====\n")
     t0 = time.time()
 
     # pass 1: per-batch rank-bucket histograms -> tiny driver merge -> prefix
@@ -715,29 +644,15 @@ _SHUFFLE_PARTS = 64
 # path.  Higher = smaller tasks = shorter wave-barrier drain when per-task
 # cost varies (zipf text lengths, host jitter); lower = less dispatch
 # overhead.  A 2x2 A/B at 16 cpus sf0.1 showed 8 within noise of (slightly
-# behind) 4 — the drain is already bounded by LPT largest-first emission —
-# so 4 stays the default; env-tunable for bigger clusters.
-_LPT_TASKS_PER_CPU = int(os.environ.get("WLLR_LPT_TASKS_PER_CPU", "4"))
-
-# driver-path wave dispatch: "tasks" (raw ray.remote scatter/gather, default)
-# or "dataset" (from_pandas -> map_batches -> to_pandas).  Bit-for-bit equal
-# output (pinned in tests); "tasks" saves ~0.2 s/wave of per-execution
-# streaming-executor overhead, which is pure Amdahl tail at high CPU counts.
-_WAVE_DISPATCH = os.environ.get("WLLR_WAVE_DISPATCH", "tasks")
+# behind) 4 — the drain is already bounded by LPT largest-first emission.
+_LPT_TASKS_PER_CPU = 4
 
 
 @ray.remote
 def _apply_wave_block(fn, blk: pd.DataFrame) -> pd.DataFrame:
-    """One packed wave block through the fused fetch/score kernel (raw-task
-    dispatch of the driver-path wave; see _WAVE_DISPATCH)."""
-    trace = os.environ.get("WLLR_TASK_TRACE")  # perf diagnostics only
-    if not trace:
-        return fn(blk)
-    t0 = time.time()
-    out = fn(blk)
-    with open(f"{trace}.{os.getpid()}", "a") as fh:
-        fh.write(f"{t0} {time.time()} {len(blk)}\n")
-    return out
+    """One packed wave block through the fused fetch/score kernel (the
+    raw-task dispatch of the driver-path wave)."""
+    return fn(blk)
 
 
 def _run_wave_streamed(
@@ -749,7 +664,6 @@ def _run_wave_streamed(
     seen_shards,
     robots_actors,
     next_seq: int,
-    score_concurrency: int | None = None,
     sections: dict | None = None,
     fetcher=None,
 ) -> tuple[int, int]:
@@ -824,9 +738,6 @@ def _run_wave_streamed(
 
     wave_fn = _wave_task(pages_dir, lexicon_ref, cfg, wave, ledger_dir, robots_actors, fetcher=fetcher)
 
-    fetch_kwargs = {}
-    if score_concurrency:
-        fetch_kwargs["concurrency"] = score_concurrency
     candidates = (
         ray.data.read_parquet(frontier_path)
         .map_batches(add_admit_part, batch_format="pandas")
@@ -835,11 +746,8 @@ def _run_wave_streamed(
         # admission output is already bucket-aligned (admit_part = bucket %
         # nparts): the fused fetch/score stage consumes it block-by-block as
         # zero-copy Arrow, slicing per exact bucket inside the task — no
-        # second shuffle; score_concurrency caps the task pool exactly as on
-        # the driver path
-        .map_batches(
-            wave_fn, batch_format="pyarrow", batch_size=None, **fetch_kwargs
-        )
+        # second shuffle
+        .map_batches(wave_fn, batch_format="pyarrow", batch_size=None)
     )
     try:
         inserted = _insert_streamed(
@@ -859,7 +767,6 @@ def run_crawl(
     out_dir: str,
     cfg: CrawlConfig | None = None,
     resume: bool = False,
-    score_concurrency: int | None = None,
     fetcher=None,
 ) -> CrawlStats:
     """Run the full crawl; requires ray to be initialised by the caller.
@@ -927,8 +834,7 @@ def run_crawl(
             pending_df = None
             inserted, pending_next = _run_wave_streamed(
                 out_dir, pages_dir, wave, cfg, lexicon_ref, seen_shards,
-                robots_actors, next_seq, score_concurrency, sections=sec,
-                fetcher=fetcher,
+                robots_actors, next_seq, sections=sec, fetcher=fetcher,
             )
             admitted_n = pending_count - (pending_next - inserted)
             next_seq += inserted
@@ -1009,48 +915,23 @@ def run_crawl(
                 ]
                 sec["fs_pack"] = round(time.time() - t_sec, 3)
                 t_fs = time.time()
-                if _WAVE_DISPATCH == "tasks" and not score_concurrency and not (
-                    os.environ.get("WLLR_STREAM_STATS")
-                ):
-                    # raw-task scatter/gather for the driver-path wave: the
-                    # blocks are already packed and sit on the driver, and the
-                    # wave is a fixed barrier — exactly the shape the Dataset
-                    # API adds no value to.  A per-wave from_pandas ->
-                    # map_batches -> to_pandas pays ~0.2 s of streaming-
-                    # executor spin-up/ramp per execution (measured on the
-                    # sf0.1 bench: 8 waves x ~0.2 s directly depresses the
-                    # 4->16 scaling leg).  Results are gathered in submission
-                    # order so candidate-frame order is identical to the
-                    # Dataset path's to_pandas.  The streamed path (pending >
-                    # DRIVER_PATH_MAX_ROWS) remains fully Dataset-based.
-                    fn_ref = ray.put(wave_fn)  # serialize the closure once per wave
-                    refs = [_apply_wave_block.remote(fn_ref, b) for b in blocks]
-                    parts = ray.get(refs)
-                    sec["fs_exec"] = round(time.time() - t_fs, 3)
-                    t_fs2 = time.time()
-                    parts = [p for p in parts if len(p)]
-                    cand_df = (
-                        pd.concat(parts, ignore_index=True)
-                        if parts else _empty_candidates_df()
-                    )
-                    sec["fs_pull"] = round(time.time() - t_fs2, 3)
-                else:
-                    ds = ray.data.from_pandas(blocks)
-                    kwargs = {}
-                    if score_concurrency:
-                        kwargs["concurrency"] = score_concurrency
-                    out_ds = ds.map_batches(
-                        wave_fn, batch_format="pyarrow", batch_size=None, **kwargs
-                    )
-                    if os.environ.get("WLLR_STREAM_STATS"):  # perf diagnostics only
-                        out_ds = out_ds.materialize()
-                        sec["fs_exec"] = round(time.time() - t_fs, 3)
-                        with open("/tmp/wllr_wave_stats.txt", "a") as fh:
-                            fh.write(f"== wave {wave} exec_window {t_fs:.3f} {time.time():.3f} ==\n" + out_ds.stats() + "\n")
-                    t_fs2 = time.time()
-                    cand_df = out_ds.to_pandas()
-                    sec["fs_pull"] = round(time.time() - t_fs2, 3)
-                    sec.setdefault("fs_exec", round(time.time() - t_fs, 3))
+                # raw-task scatter/gather: the blocks are already packed and
+                # sit on the driver, and the wave is a fixed barrier — the
+                # shape a Dataset adds nothing to but ~0.2 s of streaming-
+                # executor spin-up per execution.  Gathering in submission
+                # order keeps the candidate frame's order deterministic.
+                # The streamed path (pending > DRIVER_PATH_MAX_ROWS) stays
+                # fully Dataset-based.
+                fn_ref = ray.put(wave_fn)  # serialize the closure once per wave
+                parts = ray.get([_apply_wave_block.remote(fn_ref, b) for b in blocks])
+                sec["fs_exec"] = round(time.time() - t_fs, 3)
+                t_fs2 = time.time()
+                parts = [p for p in parts if len(p)]
+                cand_df = (
+                    pd.concat(parts, ignore_index=True)
+                    if parts else _empty_candidates_df()
+                )
+                sec["fs_pull"] = round(time.time() - t_fs2, 3)
             sec["fetch_score"] = round(time.time() - t_sec, 3)
             t_sec = time.time()
 

@@ -1378,6 +1378,18 @@ def q_bpe_token_stats(sf_dir: str):
 # (stages/windows.py — compositions Ray Data lacks natively)
 # ===========================================================================
 
+def interval_epoch_sec(td: pd.Series) -> np.ndarray:
+    """Seconds of a non-negative timedelta series the way DuckDB's
+    ``epoch(ts - ts)`` computes them: ``days*86400 + micros/1e6`` in
+    doubles.  ``total_seconds()`` divides the whole microsecond count
+    instead; on an exact half-millisecond tie such as 332,352,299,500 us
+    the two differ in the last bit (the sum lands one ulp below the tie),
+    so they round to different milliseconds: 332352.299 vs 332352.3."""
+    us = td.to_numpy().astype("timedelta64[us]").astype(np.int64)
+    days = us // 86_400_000_000
+    return days * 86400.0 + (us - days * 86_400_000_000) / 1e6
+
+
 def q_asof_click_view(sf_dir: str):
     """Per click event: the latest prior (<=) view by the same user, as a
     distributed as-of join (hash-partition by user, merge_asof per part)."""
@@ -1398,9 +1410,7 @@ def q_asof_click_view(sf_dir: str):
                 "event_id": b["event_id"].astype("int64"),
                 "user_id": b["user_id"].astype("int64"),
                 "view_event_id": b["event_id_r"].astype("int64"),
-                "gap_sec": round_half_away(
-                    (b["ts"] - b["ts_r"]).dt.total_seconds().to_numpy(), 3
-                ),
+                "gap_sec": round_half_away(interval_epoch_sec(b["ts"] - b["ts_r"]), 3),
             }
         )
 

@@ -15,7 +15,7 @@ user code can prevent.
 whose schema is the empty ``PandasBlockSchema(names=[], types=[])`` (or an
 empty Arrow schema) — and leaves every genuine schema-divergence warning
 (two non-empty, different schemas) untouched.  Installed by the session
-owners (bench.py, scripts/check_correctness.py, tests/conftest.py, cli) and
+owners (scripts/check_correctness.py, tests/conftest.py, cli) and
 by ``__ray_entry__`` for driver-owned sessions; never by library import.
 """
 

@@ -3,10 +3,10 @@
 The reference re-fetches and re-parses robots.txt for EVERY url
 (lrl-crawler.py:173-181 — a RobotFileParser per call, no cache; SURVEY.md
 §2.3 A6 flags this).  The north rule mandates caching actors: hosts are
-hashed across ``RobotsCache`` actors; each actor lazily "fetches" (here:
-reads from the corpus's robots table — the sandbox stand-in for an HTTP
-fetch of ``<root>/robots.txt``) and caches the parsed rules per host, then
-answers vectorized allow/deny queries.
+routed across ``RobotsCache`` actors by host bucket; each actor lazily
+"fetches" (here: reads from the corpus's robots table — the sandbox
+stand-in for an HTTP fetch of ``<root>/robots.txt``) and caches the parsed
+rules per host, then answers vectorized allow/deny queries.
 
 Rule semantics match the reference's observable behavior with
 ``RobotFileParser.can_fetch("*", url)`` for simple ``Disallow:`` prefix
@@ -21,23 +21,6 @@ from urllib.parse import urlparse
 import numpy as np
 import pyarrow.parquet as pq
 import ray
-
-
-class RobotsMatcher:
-    """Pure rule matcher (shared by actor and oracle-parity tests)."""
-
-    def __init__(self, rules: dict[str, list[str]]):
-        self.rules = rules
-
-    def blocked(self, url: str) -> bool:
-        p = urlparse(url)
-        prefixes = self.rules.get(p.netloc)
-        if not prefixes:
-            return False
-        return any(p.path.startswith(pref) for pref in prefixes)
-
-    def blocked_batch(self, urls) -> np.ndarray:
-        return np.array([u is not None and self.blocked(u) for u in urls], dtype=bool)
 
 
 @ray.remote(num_cpus=0)  # lightweight RPC state actor: microsecond lookups, no compute slot
@@ -83,22 +66,20 @@ def create_robots_actors(robots_parquet_path: str | None, num_shards: int = 2):
     return [RobotsCache.remote(robots_parquet_path) for _ in range(num_shards)]
 
 
-def robots_blocked_mask(actors, urls: list[str]) -> np.ndarray:
-    """Route URLs to robots shards by host hash; gather the blocked mask."""
-    n = len(urls)
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    num = len(actors)
-    by_shard: list[list[int]] = [[] for _ in range(num)]
-    for i, u in enumerate(urls):
-        h = urlparse(u).netloc
-        by_shard[hash(h) % num].append(i)
+def robots_blocked_mask(actors, urls: list[str], buckets) -> np.ndarray:
+    """Route URLs to robots shards by host bucket; gather the blocked mask.
+
+    ``buckets`` is the stable ``host_bucket_batch`` of each URL's host (the
+    crawl's partitioning key), so every process sends a host to the same
+    shard and each host's rules are fetched and cached exactly once."""
+    out = np.zeros(len(urls), dtype=bool)
+    shard = np.asarray(buckets, dtype=np.int64) % len(actors)
     futures, idx_lists = [], []
-    for s, idxs in enumerate(by_shard):
-        if idxs:
+    for s in range(len(actors)):
+        idxs = np.flatnonzero(shard == s)
+        if len(idxs):
             futures.append(actors[s].blocked_batch.remote([urls[i] for i in idxs]))
             idx_lists.append(idxs)
-    out = np.zeros(n, dtype=bool)
     for idxs, res in zip(idx_lists, ray.get(futures)):
-        out[np.asarray(idxs, dtype=np.int64)] = res
+        out[idxs] = res
     return out

@@ -270,19 +270,7 @@ class SeenShard:
             self._register_new(keys[fresh])
         return int(fresh.sum())
 
-    # -- legacy combined API (tests / small driver-side batches) ------------
-
-    def contains_and_add(self, digests) -> np.ndarray:
-        """Atomic probe+add: True where the digest was NEW (now added)."""
-        keys = as_digest_matrix(digests)
-        present = self._present_mask(keys)
-        new = ~present
-        if new.any():
-            self._register_new(keys[new])
-        return new
-
-    def contains(self, digests) -> np.ndarray:
-        return self._present_mask(as_digest_matrix(digests))
+    # -- introspection ------------------------------------------------------
 
     def size(self) -> int:
         return self._nrun_keys + len(self.recent)
@@ -295,27 +283,7 @@ class SeenShard:
     def run_count(self) -> int:
         return len(self.runs)
 
-    # -- snapshots (full-blob legacy + incremental paged) -------------------
-
-    def snapshot(self) -> bytes:
-        """Deterministic serialization of the full exact key set (sorted
-        concat, merged across runs + recent)."""
-        parts = [np.asarray(run) for run in self.runs]
-        if self.recent:
-            parts.append(np.frombuffer(b"".join(sorted(self.recent)), dtype=_V20))
-        if not parts:
-            return b""
-        return np.sort(np.concatenate(parts)).tobytes()
-
-    def restore(self, blob: bytes, key_len: int = KEY_LEN) -> int:
-        arr = np.sort(np.frombuffer(blob, dtype=np.dtype(f"V{key_len}")))
-        self.recent = set()
-        self.runs = [arr] if len(arr) else []
-        self._run_paths = []
-        self._nrun_keys = len(arr)
-        self.cuckoo = CuckooFilter(max(1 << 16, 2 * len(arr)))
-        self.cuckoo.add_many(arr.view(np.uint8).reshape(-1, key_len))
-        return len(arr)
+    # -- incremental paged snapshots ----------------------------------------
 
     def snapshot_delta_to(self, path: str) -> str:
         """Write the keys added since the previous delta (sorted concat) from
@@ -402,30 +370,6 @@ def seen_add(shards, digests) -> int:
     """Idempotent batch add across shards (keys that actually inserted)."""
     _, groups = _shard_blobs(digests, len(shards))
     return sum(ray.get([shards[s].add_blob.remote(blob) for s, _, blob in groups]))
-
-
-def seen_filter_new(shards, digests) -> np.ndarray:
-    """Atomic batch contains_and_add across shards; True where digest was new.
-
-    Each digest must appear at most once in ``digests`` (callers pre-dedup
-    within the batch/wave) — this keeps the result independent of shard RPC
-    ordering.  Driver-side convenience; the streamed path uses the
-    probe/add split instead (retry-safety + max_pages semantics).
-    """
-    mat, groups = _shard_blobs(digests, len(shards))
-    out = np.zeros(len(mat), dtype=bool)
-    futures = [shards[s].contains_and_add.remote(blob) for s, _, blob in groups]
-    for (_, idxs, _), res in zip(groups, ray.get(futures)):
-        out[idxs] = res
-    return out
-
-
-def snapshot_all(shards) -> list[bytes]:
-    return ray.get([s.snapshot.remote() for s in shards])
-
-
-def restore_all(shards, blobs: list[bytes]) -> list[int]:
-    return ray.get([s.restore.remote(b) for s, b in zip(shards, blobs)])
 
 
 def snapshot_all_to(shards, paths: list[str]) -> list[str]:
