@@ -97,6 +97,55 @@ class TestCrawlConformance:
         assert stats.waves > 2
         _assert_ledger_equal(load_ledger(part_out), load_ledger(full_out))
 
+    def test_dead_seen_actor_fails_loudly_then_resumes(self, tiny_corpus, tmp_path, monkeypatch):
+        """The seen actor dying after wave 1's manifest must stop the crawl
+        with Ray's actor error — not hang, not finish on lost state — and a
+        resume from that manifest must give the uninterrupted ledger."""
+        import threading
+
+        import ray
+
+        import webcrawl_lowres_lang_ray.checkpoint as ckpt
+        import webcrawl_lowres_lang_ray.frontier as fr
+
+        full_out = str(tmp_path / "full")
+        run_crawl(tiny_corpus, full_out, CFG)
+
+        handles = []
+        create, write_manifest = fr.create_seen_shards, ckpt.write_manifest
+
+        def keep(*a, **kw):
+            handles.extend(create(*a, **kw))
+            return handles
+
+        def kill_after_wave1(root, wave, payload):
+            write_manifest(root, wave, payload)
+            if wave == 1:
+                for actor in handles:
+                    ray.kill(actor)
+
+        monkeypatch.setattr(fr, "create_seen_shards", keep)
+        monkeypatch.setattr(ckpt, "write_manifest", kill_after_wave1)
+        part_out = str(tmp_path / "part")
+        raised = []
+
+        def crawl():
+            try:
+                run_crawl(tiny_corpus, part_out, CFG)
+            except Exception as e:  # asserted below
+                raised.append(e)
+
+        t = threading.Thread(target=crawl, daemon=True)
+        t.start()
+        t.join(180)
+        assert not t.is_alive(), "crawl hung on a dead seen actor"
+        assert len(raised) == 1 and isinstance(raised[0], ray.exceptions.RayActorError), raised
+        monkeypatch.undo()
+        assert ckpt.latest_manifest(part_out)["wave"] == 1
+        stats = run_crawl(tiny_corpus, part_out, CFG, resume=True)
+        assert stats.waves > 2
+        _assert_ledger_equal(load_ledger(part_out), load_ledger(full_out))
+
     def test_ray_paths_equal_driver_paths(self, tiny_corpus, tmp_path, monkeypatch):
         import webcrawl_lowres_lang_ray.frontier as fr
 

@@ -59,28 +59,38 @@ class TestCuckooProperties:
 
 class TestSeenShardLogic:
     @settings(max_examples=25, deadline=None)
-    @given(st.lists(digests, min_size=1, max_size=150))
-    def test_contains_and_add_matches_set(self, stream):
-        # exercise the shard's underlying logic locally (same class body,
-        # no actor) against a plain set oracle
-        from webcrawl_lowres_lang_ray.state.seen import CuckooFilter
+    @given(
+        st.lists(digests, min_size=1, max_size=60, unique=True),
+        st.lists(st.lists(st.integers(0, 59), max_size=30), min_size=1, max_size=8),
+        st.sets(st.integers(0, 7)),
+    )
+    def test_contains_and_add_matches_set(self, pool, batches, snap_before):
+        """The real ``SeenShard`` (a plain class; the actor only routes to
+        it) under the crawl's protocol — read-only probe, then add of the
+        keys it reported new — against a set oracle.  Delta snapshots in
+        mid-stream page keys out, so later probes go through the on-disk
+        runs; the tiny capacity forces cuckoo regrowth."""
+        import os
+        import tempfile
 
-        exact: set[bytes] = set()
-        cuckoo = CuckooFilter(1 << 10)
-        results = []
-        for d in stream:
-            if cuckoo.might_contain(d) and d in exact:
-                results.append(False)
-            else:
-                exact.add(d)
-                cuckoo.add(d)
-                results.append(True)
+        from webcrawl_lowres_lang_ray.state.seen import SeenShard
+
+        shard = SeenShard(0, capacity=16)
         seen: set[bytes] = set()
-        want = []
-        for d in stream:
-            want.append(d not in seen)
-            seen.add(d)
-        assert results == want
+        with tempfile.TemporaryDirectory() as d:
+            for i, idxs in enumerate(batches):
+                if i in snap_before:
+                    shard.snapshot_delta_to(os.path.join(d, f"delta-{i}.bin"))
+                    assert shard.ram_key_count() == 0
+                # the crawl dedups within a wave before it probes
+                batch = list(dict.fromkeys(pool[j % len(pool)] for j in idxs))
+                new = shard.probe_new(b"".join(batch))
+                assert list(new) == [k not in seen for k in batch]
+                fresh = [k for k, n in zip(batch, new) if n]
+                assert shard.add_blob(b"".join(fresh)) == len(fresh)
+                assert shard.add_blob(b"".join(batch)) == 0  # idempotent
+                seen.update(batch)
+                assert shard.size() == len(seen)
 
 
 class TestUrlProperties:

@@ -214,8 +214,6 @@ class TestRobotsCache:
     def test_caching_and_blocking(self, small_corpus):
         import os
 
-        from webcrawl_lowres_lang_ray.functions.hashing import host_bucket_batch
-        from webcrawl_lowres_lang_ray.functions.urltools import host_batch
         from webcrawl_lowres_lang_ray.sources.synth import load_robots
         from webcrawl_lowres_lang_ray.state.robots import (
             create_robots_actors,
@@ -225,26 +223,25 @@ class TestRobotsCache:
 
         rules = load_robots(small_corpus)
         host = next(iter(rules))
-        actors = create_robots_actors(os.path.join(small_corpus, "robots.parquet"), 2)
+        actors = create_robots_actors(os.path.join(small_corpus, "robots.parquet"))
         urls = [
             f"https://{host}/private/x",
             f"https://{host}/public/x",
             "https://unknown.example.net/anything",
             f"https://{host}/private/y",
         ]
-        buckets = host_bucket_batch(host_batch(urls), 256)
-        mask = robots_blocked_mask(actors, urls, buckets)
+        mask = robots_blocked_mask(actors, urls)
         assert list(mask) == [True, False, False, True]
         # cache: each host's rules fetched once despite repeat queries
-        assert list(robots_blocked_mask(actors, urls, buckets)) == list(mask)
+        assert list(robots_blocked_mask(actors, urls)) == list(mask)
         stats = ray.get([a.stats.remote() for a in actors])
         assert sum(s["fetches"] for s in stats) == 2  # distinct hosts
 
     def test_each_host_cached_once_across_processes(self, small_corpus):
         """Two worker processes (each with its own salted str ``hash``) gate
-        the same URLs through the crawl's candidate prep: every host must
-        route to one shard, so the summed robots fetches equal the number
-        of distinct hosts."""
+        the same URLs through the crawl's candidate prep: the robots cache
+        is shared, so the summed robots fetches equal the number of
+        distinct hosts."""
         import os
 
         import pandas as pd
@@ -264,7 +261,7 @@ class TestRobotsCache:
                 "ord2": np.int64(0),
             }
         )
-        actors = create_robots_actors(os.path.join(small_corpus, "robots.parquet"), 2)
+        actors = create_robots_actors(os.path.join(small_corpus, "robots.parquet"))
 
         # max_calls=1: each call runs in a fresh worker process
         @ray.remote(num_cpus=1, max_calls=1)

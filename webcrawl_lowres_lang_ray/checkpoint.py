@@ -60,8 +60,8 @@ def clear_output(root: str) -> None:
 
 
 def seen_snapshot_paths(root: str, wave: int, num_shards: int) -> list[str]:
-    """Create the snapshot dir and return per-shard target paths — the shard
-    actors write their own files (driver never holds the blobs)."""
+    """Create the snapshot dir and return per-shard target paths — the seen
+    actor writes the files itself (driver never holds the blobs)."""
     d = wave_dir(root, "seen", wave)
     os.makedirs(d, exist_ok=True)
     return [os.path.join(d, f"shard-{i:03d}.bin") for i in range(num_shards)]
@@ -85,23 +85,3 @@ def seen_delta_paths(root: str, upto_wave: int, num_shards: int) -> list[list[st
                     out[i].append(p)
     return out
 
-
-def write_seen_snapshots(root: str, wave: int, blobs: list[bytes]) -> list[str]:
-    d = wave_dir(root, "seen", wave)
-    os.makedirs(d, exist_ok=True)
-    paths = []
-    for i, blob in enumerate(blobs):
-        p = os.path.join(d, f"shard-{i:03d}.bin")
-        with open(p + ".tmp", "wb") as f:
-            f.write(blob)
-        os.replace(p + ".tmp", p)
-        paths.append(p)
-    return paths
-
-
-def read_seen_snapshots(paths: list[str]) -> list[bytes]:
-    out = []
-    for p in paths:
-        with open(p, "rb") as f:
-            out.append(f.read())
-    return out

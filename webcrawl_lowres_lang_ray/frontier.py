@@ -5,7 +5,7 @@ num_threads=1 FIFO semantics) with Ray Data execution per wave:
 
   frontier parquet (sorted spill)                        [checkpoint.py]
     -> politeness admission   groupby(host) head-k by seq [state/politeness.py]
-    -> relative-URL skip + robots gate                    [state/robots.py actors]
+    -> relative-URL skip + robots gate                    [state/robots.py actor]
     -> fetch = partitioned hash join vs the page table
        (pre-partitioned by HOST-hash bucket — the crawl's
        single partitioning key); bucket groups LPT-bin-
@@ -15,8 +15,9 @@ num_threads=1 FIFO semantics) with Ray Data execution per wave:
                                                            cached per worker]
     -> ledger partition write  ledger/wave=N/
     -> candidate insertion: excluded-domain filter, within-wave dedup
-       (first occurrence by (parent_seq, link_idx)), sharded seen-filter
-       actors, deterministic global seq assignment         [_insert_*]
+       (first occurrence by (parent_seq, link_idx)), seen probe
+       (one actor owns every cuckoo-filter shard),
+       deterministic global seq assignment                 [_insert_*]
     -> next frontier partition + manifest + seen snapshots
 
 Determinism: execution order inside a wave is free (preserve_order=False);
@@ -44,8 +45,9 @@ Scale notes (the 100 TB story):
   write; the ledger keeps text, hashes and metrics only.
 * Admission orders by (priority DESC, seq ASC) — the priority-frontier
   hook; all-default priorities degrade to exact reference FIFO parity.
-* Seen-set checkpoints are written by the shard actors themselves
-  (snapshot_to), so 10^10-key snapshots never route through the driver.
+* Seen-set checkpoints are written by the seen actor itself, one delta
+  file per shard (snapshot_to), so 10^10-key snapshots never route through
+  the driver.
 """
 
 from __future__ import annotations
@@ -78,7 +80,6 @@ from .sources.synth import load_lexicon
 from .state.robots import create_robots_actors, robots_blocked_mask
 from .state.seen import (
     create_seen_shards,
-    matrix_shard_ids,
     restore_all_from,
     seen_add,
     seen_probe_new,
@@ -416,9 +417,7 @@ def _prepare_candidates(
     absolute = ~rel
     if cfg.apply_robots and robots_actors and absolute.any():
         # relative links never fetch: only absolute ones ask the robots cache
-        blocked[absolute] = robots_blocked_mask(
-            robots_actors, list(urls[absolute]), df["bucket"].to_numpy()[absolute]
-        )
+        blocked[absolute] = robots_blocked_mask(robots_actors, list(urls[absolute]))
     df["robots_blocked"] = blocked
     if "priority" not in df.columns:  # seeds may carry their own priority
         df["priority"] = np.int64(cfg.link_priority)
@@ -460,51 +459,40 @@ def _insert_streamed(
     sections: dict | None = None,
 ) -> int:
     """Distributed insertion over PREPARED candidates, one shuffle: candidates
-    are partitioned by a SHARD-AFFINE digest key, and each partition task then
-    runs the whole chain vectorized — within-wave first-occurrence dedup (via
+    are partitioned by a digest key, and each partition task then runs the
+    whole chain vectorized — within-wave first-occurrence dedup (via
     hash-partitioned drop_duplicates, NOT groupby(key).map_groups — per-group
-    dispatch at 10^5+ distinct urls costs ~ms each), the READ-ONLY seen probe
-    (each partition owns exactly ONE seen shard, so the probe is a single
-    actor RPC instead of an all-shards fan-out per batch), and the rank
-    columns for seq assignment.
+    dispatch at 10^5+ distinct urls costs ~ms each), one READ-ONLY seen
+    probe RPC per partition, and the rank columns for seq assignment.
 
     The surviving rows are written as next-frontier partition files
     (``insert-pNNN.parquet``, deterministic names => idempotent re-run)
     directly by the rank tasks — the new frontier rows never visit the
     driver; only the O(rank-buckets) histogram does.  Returns the number
     of rows inserted (after the ``max_pages`` seq budget, if set)."""
-    num_shards = len(seen_shards)
-    # sub-split each shard's keyspace so partition count stays ~64 even with
-    # few shards; partition p talks to shard p // sub_m only
-    sub_m = max(1, 64 // num_shards)
 
     def add_part(b: pd.DataFrame) -> pd.DataFrame:
         if len(b) == 0:
             return b.assign(dedup_part=pd.Series(dtype="int64"))
         b = b.copy()
         mat = hex_to_digests(b["canon_sha1"].to_numpy())
-        sid = matrix_shard_ids(mat, num_shards)
-        # bytes 12:16 sub-split — independent of both the shard-routing bytes
-        # (trailing 4) and the cuckoo bucket bytes (leading)
-        sub = mat[:, 12:16].copy().view("<u4").ravel() % np.uint32(sub_m)
-        b["dedup_part"] = (sid * sub_m + sub).astype(np.int64)
+        # bytes 12:16 — independent of both the seen-shard bytes (trailing 4)
+        # and the cuckoo bucket bytes (leading)
+        b["dedup_part"] = (
+            mat[:, 12:16].copy().view("<u4").ravel() % np.uint32(64)
+        ).astype(np.int64)
         return b
 
     def dedup_probe_rank(g: pd.DataFrame) -> pd.DataFrame:
-        part = int(g["dedup_part"].iloc[0])
         g = g.sort_values(["ord1", "ord2"], kind="mergesort")
         g = g.drop_duplicates("canon_sha1", keep="first").drop(
             columns=["dedup_part"]
         )
-        # READ-ONLY probe of this partition's single owning shard: a Ray task
-        # retry re-probes and gets the same verdicts (no state mutated from a
-        # retryable task).  Keys register later, in assign_write, only for
-        # rows that actually insert — which also matches the oracle's
-        # max_pages order (budget before seen.add).
-        mat = hex_to_digests(g["canon_sha1"].to_numpy())
-        new = ray.get(
-            seen_shards[part // sub_m].probe_new.remote(mat.tobytes())
-        )
+        # READ-ONLY probe: a Ray task retry re-probes and gets the same
+        # verdicts (no state mutated from a retryable task).  Keys register
+        # later, in assign_write, only for rows that actually insert — which
+        # also matches the oracle's max_pages order (budget before seen.add).
+        new = seen_probe_new(seen_shards, hex_to_digests(g["canon_sha1"].to_numpy()))
         g = g.loc[new]
         if len(g) == 0:
             return g.assign(
@@ -790,7 +778,7 @@ def run_crawl(
         next_seq = manifest["next_seq"]
         stats.inserted = manifest["inserted"]
         restore_all_from(
-            seen_shards, ckpt.seen_delta_paths(out_dir, wave, len(seen_shards))
+            seen_shards, ckpt.seen_delta_paths(out_dir, wave, cfg.num_seen_shards)
         )
         pending_df = None  # read lazily if the wave takes the driver path
         pending_count = _frontier_row_count(ckpt.wave_dir(out_dir, "frontier", wave))
@@ -962,7 +950,7 @@ def run_crawl(
         t_sec = time.time()
         snap_paths = snapshot_all_to(
             seen_shards,
-            ckpt.seen_snapshot_paths(out_dir, wave + 1, len(seen_shards)),
+            ckpt.seen_snapshot_paths(out_dir, wave + 1, cfg.num_seen_shards),
         )
         ckpt.write_manifest(
             out_dir,

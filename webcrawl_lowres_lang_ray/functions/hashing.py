@@ -76,20 +76,6 @@ def hex_to_digests(hex_digests) -> np.ndarray:
     ).reshape(-1, 20)
 
 
-def bucket_of_digests(mat: np.ndarray, num_shards: int) -> np.ndarray:
-    """Vectorized ``digest_to_shard`` over an (n, 20) digest matrix: the
-    first 8 hex chars == the big-endian leading 4 bytes."""
-    if not len(mat):
-        return np.zeros(0, dtype=np.int32)
-    return (
-        mat[:, :4].copy().view(">u4").ravel() % np.uint32(num_shards)
-    ).astype(np.int32)
-
-
-def shard_batch(hex_digests, num_shards: int) -> np.ndarray:
-    return bucket_of_digests(hex_to_digests(hex_digests), num_shards)
-
-
 def host_bucket(host: str, num_buckets: int) -> int:
     """Stable page/frontier bucket from the URL host.
 

@@ -1,12 +1,12 @@
-"""Robots.txt cache actors.
+"""Robots.txt cache actor.
 
 The reference re-fetches and re-parses robots.txt for EVERY url
 (lrl-crawler.py:173-181 — a RobotFileParser per call, no cache; SURVEY.md
-§2.3 A6 flags this).  The north rule mandates caching actors: hosts are
-routed across ``RobotsCache`` actors by host bucket; each actor lazily
-"fetches" (here: reads from the corpus's robots table — the sandbox
-stand-in for an HTTP fetch of ``<root>/robots.txt``) and caches the parsed
-rules per host, then answers vectorized allow/deny queries.
+§2.3 A6 flags this).  The north rule mandates a caching actor: one
+``RobotsCache`` actor serves every process of the crawl, so each host's
+rules are "fetched" (here: read from the corpus's robots table — the
+sandbox stand-in for an HTTP fetch of ``<root>/robots.txt``) and parsed
+once, then it answers vectorized allow/deny queries.
 
 Rule semantics match the reference's observable behavior with
 ``RobotFileParser.can_fetch("*", url)`` for simple ``Disallow:`` prefix
@@ -25,7 +25,7 @@ import ray
 
 @ray.remote(num_cpus=0)  # lightweight RPC state actor: microsecond lookups, no compute slot
 class RobotsCache:
-    """One shard of the robots cache; caches per-host rules on first miss."""
+    """The crawl's robots cache; caches per-host rules on first miss."""
 
     def __init__(self, robots_parquet_path: str | None):
         self._source_path = robots_parquet_path
@@ -62,24 +62,11 @@ class RobotsCache:
         return {"hosts_cached": len(self.cache), "fetches": self.fetches}
 
 
-def create_robots_actors(robots_parquet_path: str | None, num_shards: int = 2):
-    return [RobotsCache.remote(robots_parquet_path) for _ in range(num_shards)]
+def create_robots_actors(robots_parquet_path: str | None):
+    return [RobotsCache.remote(robots_parquet_path)]
 
 
-def robots_blocked_mask(actors, urls: list[str], buckets) -> np.ndarray:
-    """Route URLs to robots shards by host bucket; gather the blocked mask.
-
-    ``buckets`` is the stable ``host_bucket_batch`` of each URL's host (the
-    crawl's partitioning key), so every process sends a host to the same
-    shard and each host's rules are fetched and cached exactly once."""
-    out = np.zeros(len(urls), dtype=bool)
-    shard = np.asarray(buckets, dtype=np.int64) % len(actors)
-    futures, idx_lists = [], []
-    for s in range(len(actors)):
-        idxs = np.flatnonzero(shard == s)
-        if len(idxs):
-            futures.append(actors[s].blocked_batch.remote([urls[i] for i in idxs]))
-            idx_lists.append(idxs)
-    for idxs, res in zip(idx_lists, ray.get(futures)):
-        out[idxs] = res
-    return out
+def robots_blocked_mask(actors, urls: list[str]) -> np.ndarray:
+    """The blocked mask of ``urls`` from the crawl's one robots actor."""
+    (actor,) = actors
+    return ray.get(actor.blocked_batch.remote(urls))

@@ -1,16 +1,19 @@
-"""Sharded URL-seen set — cuckoo-filter actors over a DISK-PAGED exact store.
+"""Sharded URL-seen set — cuckoo-filter shards over a DISK-PAGED exact store.
 
 The reference's URL-seen check is a SQLite ``url_hash IN (...)`` existence
 probe before insert (sql.py:180-189, used by insert_urls_many
-sql.py:213-246).  The rebuild shards the seen set across Ray actors keyed by
-``hash(digest) % num_shards`` (north rule: sharded cuckoo filter, SHA-1
-canonical-URL keys):
+sql.py:213-246).  The rebuild shards the seen set by the digest's trailing
+4 bytes ``% num_shards`` (north rule: sharded cuckoo filter, SHA-1
+canonical-URL keys).  The shards are data, not processes: ONE Ray actor
+(``SeenShardSet``) owns every shard and routes each batch inside itself, so
+a probe, add or snapshot is one RPC whatever the shard count:
 
 * ``CuckooFilter`` — a real partial-key cuckoo filter (numpy table,
   4-slot buckets, 16-bit fingerprints): answers "definitely new" without
   touching the exact store.  No false negatives; bounded false positives
   (property-tested).
-* ``SeenShard`` — actor owning one shard.  The exact authority is PAGED:
+* ``SeenShard`` — one shard, the unit of cuckoo filter, run file and delta
+  snapshot.  The exact authority is PAGED:
   - ``recent``: the in-RAM key set holds ONLY keys added since the last
     delta snapshot (one politeness wave's worth);
   - ``runs``: every earlier key lives in sorted immutable run files on disk
@@ -20,6 +23,7 @@ canonical-URL keys):
     10^10-URL scale the filter (~4.5 bytes/key) stays in RAM while the
     ~200 GB of exact keys stay on disk, and the filter's ~1e-4 FP rate
     means ~one binary search per 10^4 genuinely-new keys.
+* ``SeenShardSet`` — the actor holding ``num_shards`` ``SeenShard`` objects.
 
 Retry-safe protocol (streamed insertion path, frontier._insert_streamed):
 ``probe_new`` is READ-ONLY, so a Ray task retry that re-probes returns the
@@ -31,7 +35,7 @@ seen-marked, so raising the budget on resume re-crawls it.
 
 The crawl probes each candidate digest at most once per wave (candidates
 are pre-deduplicated within the wave), so RPC arrival order cannot affect
-membership — determinism holds under any actor scheduling.
+membership — determinism holds under any RPC scheduling.
 """
 
 from __future__ import annotations
@@ -180,7 +184,6 @@ def _load_run(path: str) -> np.ndarray | None:
     return np.memmap(path, dtype=_V20, mode="r")
 
 
-@ray.remote(num_cpus=0)  # lightweight RPC state actor: microsecond lookups, no compute slot
 class SeenShard:
     """One shard of the URL-seen set (cuckoo gate + paged exact authority).
 
@@ -322,64 +325,87 @@ class SeenShard:
         return self._nrun_keys
 
 
-def create_seen_shards(num_shards: int, capacity_hint: int = 1 << 16):
-    return [
-        SeenShard.remote(i, capacity_hint) for i in range(num_shards)
-    ]
-
-
-def shard_of_digest(digest: bytes, num_shards: int) -> int:
-    """Route by the digest's trailing 4 bytes (leading bytes drive the cuckoo
-    bucket index — using different bytes keeps shard routing and filter
-    placement independent)."""
-    return int.from_bytes(digest[-4:], "little") % num_shards
-
-
 def matrix_shard_ids(mat: np.ndarray, num_shards: int) -> np.ndarray:
-    """Vectorized ``shard_of_digest`` over an (n, 20) digest matrix."""
+    """Owning shard of each row of an (n, 20) digest matrix, from the
+    digest's trailing 4 bytes (leading bytes drive the cuckoo bucket index —
+    using different bytes keeps shard routing and filter placement
+    independent)."""
     return (
         mat[:, -4:].copy().view("<u4").ravel() % np.uint32(num_shards)
     ).astype(np.int64)
 
 
-def _shard_blobs(digests, num_shards: int):
-    """Group a digest batch by owning shard; one contiguous bytes blob per
-    shard (the RPC payload — no per-row Python, no list-of-bytes pickling)."""
-    mat = as_digest_matrix(digests)
-    sid = matrix_shard_ids(mat, num_shards)
-    out = []
-    for s in range(num_shards):
-        idxs = np.flatnonzero(sid == s)
-        if len(idxs):
-            out.append((s, idxs, mat[idxs].tobytes()))
-    return mat, out
+@ray.remote(num_cpus=0)  # lightweight RPC state actor: microsecond lookups, no compute slot
+class SeenShardSet:
+    """Every shard of the URL-seen set in one process: each call splits its
+    digest blob by owning shard here, so callers send one RPC per batch."""
+
+    def __init__(self, num_shards: int, capacity: int = 1 << 16):
+        self.shards = [SeenShard(i, capacity) for i in range(num_shards)]
+
+    def _split(self, blob: bytes):
+        mat = np.frombuffer(blob, dtype=np.uint8).reshape(-1, KEY_LEN)
+        sid = matrix_shard_ids(mat, len(self.shards))
+        for s, shard in enumerate(self.shards):
+            idxs = np.flatnonzero(sid == s)
+            if len(idxs):
+                yield shard, idxs, mat[idxs].tobytes()
+
+    def probe_new(self, blob: bytes) -> np.ndarray:
+        out = np.zeros(len(blob) // KEY_LEN, dtype=bool)
+        for shard, idxs, part in self._split(blob):
+            out[idxs] = shard.probe_new(part)
+        return out
+
+    def add_blob(self, blob: bytes) -> int:
+        return sum(shard.add_blob(part) for shard, _, part in self._split(blob))
+
+    def size(self) -> int:
+        return sum(s.size() for s in self.shards)
+
+    def ram_key_count(self) -> int:
+        return sum(s.ram_key_count() for s in self.shards)
+
+    def run_count(self) -> int:
+        return sum(s.run_count() for s in self.shards)
+
+    def snapshot_to(self, paths: list[str]) -> list[str]:
+        """paths[i] = shard i's new delta file (written by the shard, paged out)."""
+        assert len(paths) == len(self.shards)
+        return [s.snapshot_delta_to(p) for s, p in zip(self.shards, paths)]
+
+    def restore_from(self, per_shard_paths: list[list[str]]) -> list[int]:
+        assert len(per_shard_paths) == len(self.shards)
+        return [s.restore_from(ps) for s, ps in zip(self.shards, per_shard_paths)]
+
+
+def create_seen_shards(num_shards: int, capacity_hint: int = 1 << 16):
+    """One actor owning ``num_shards`` shards, as a list (the handle list
+    every ``seen_*`` helper takes)."""
+    return [SeenShardSet.remote(num_shards, capacity_hint)]
 
 
 def seen_probe_new(shards, digests) -> np.ndarray:
-    """READ-ONLY batch probe across shards; True where the digest is unseen.
-    Safe to call from retryable Ray Data tasks (no state mutation)."""
-    mat, groups = _shard_blobs(digests, len(shards))
-    out = np.zeros(len(mat), dtype=bool)
-    futures = [shards[s].probe_new.remote(blob) for s, _, blob in groups]
-    for (_, idxs, _), res in zip(groups, ray.get(futures)):
-        out[idxs] = res
-    return out
+    """READ-ONLY batch probe; True where the digest is unseen.  Safe to call
+    from retryable Ray Data tasks (no state mutation)."""
+    (actor,) = shards
+    return ray.get(actor.probe_new.remote(as_digest_matrix(digests).tobytes()))
 
 
 def seen_add(shards, digests) -> int:
-    """Idempotent batch add across shards (keys that actually inserted)."""
-    _, groups = _shard_blobs(digests, len(shards))
-    return sum(ray.get([shards[s].add_blob.remote(blob) for s, _, blob in groups]))
+    """Idempotent batch add (keys that actually inserted)."""
+    (actor,) = shards
+    return ray.get(actor.add_blob.remote(as_digest_matrix(digests).tobytes()))
 
 
 def snapshot_all_to(shards, paths: list[str]) -> list[str]:
     """Actor-side incremental snapshot writes (blobs never on the driver);
-    each shard pages its RAM keys out to the new run file."""
-    return ray.get([s.snapshot_delta_to.remote(p) for s, p in zip(shards, paths)])
+    each shard pages its RAM keys out to its new run file ``paths[i]``."""
+    (actor,) = shards
+    return ray.get(actor.snapshot_to.remote(paths))
 
 
 def restore_all_from(shards, per_shard_paths: list[list[str]]) -> list[int]:
     """per_shard_paths[i] = every delta file for shard i, in any order."""
-    return ray.get(
-        [s.restore_from.remote(ps) for s, ps in zip(shards, per_shard_paths)]
-    )
+    (actor,) = shards
+    return ray.get(actor.restore_from.remote(per_shard_paths))
