@@ -45,8 +45,22 @@ def _assert_ledger_equal(eng: pd.DataFrame, orc: pd.DataFrame):
 
 @pytest.mark.usefixtures("ray_session")
 class TestCrawlConformance:
-    def test_ledger_matches_oracle(self, tiny_corpus, tmp_path):
+    def test_ledger_matches_oracle(self, tiny_corpus, tmp_path, monkeypatch):
+        import webcrawl_lowres_lang_ray.frontier as fr
+
+        robots_rpcs = []
+        real = fr.robots_blocked_mask
+
+        def counting(actors, urls):
+            robots_rpcs.append(len(urls))
+            return real(actors, urls)
+
+        monkeypatch.setattr(fr, "robots_blocked_mask", counting)
         stats = run_crawl(tiny_corpus, str(tmp_path / "out"), CFG)
+        # every wave takes the driver-local path, which runs the wave as one
+        # task with one candidate prep: one robots RPC per wave at most, plus
+        # one for seed insertion, however many buckets a wave fetches
+        assert 0 < len(robots_rpcs) <= stats.waves + 1, (len(robots_rpcs), stats.waves)
         eng = load_ledger(str(tmp_path / "out")).sort_values("seq").reset_index(drop=True)
         orc = _oracle_df(tiny_corpus, CFG)
         _assert_ledger_equal(eng, orc)
@@ -205,6 +219,53 @@ class TestCrawlConformance:
             load_ledger(str(tmp_path / "clean")),
             load_ledger(str(tmp_path / "crashed")),
         )
+
+    def test_wave_task_batch_equals_per_bucket_calls(self, tiny_corpus, tmp_path):
+        """One wave-task call over a multi-bucket batch (rows not in bucket
+        order) writes the same ledger files as one call per bucket, and
+        returns the same candidates once both are sorted by (ord1, ord2)."""
+        import os
+
+        import pyarrow.parquet as pq
+        import ray
+
+        import webcrawl_lowres_lang_ray.checkpoint as ckpt
+        import webcrawl_lowres_lang_ray.frontier as fr
+        from webcrawl_lowres_lang_ray.sources.synth import load_lexicon
+        from webcrawl_lowres_lang_ray.state.robots import create_robots_actors
+
+        out = str(tmp_path / "out")
+        run_crawl(tiny_corpus, out, CFG.replace(max_waves=1))
+        pending = fr._read_frontier(ckpt.wave_dir(out, "frontier", 1))
+        batch = pending.loc[~(pending["is_rel"] | pending["robots_blocked"])]
+        batch = batch.reset_index(drop=True)
+        assert batch["bucket"].nunique() > 1
+        assert (np.diff(batch["bucket"].to_numpy()) < 0).any()
+        lexicon_ref = ray.put(load_lexicon(tiny_corpus))
+        robots = create_robots_actors(os.path.join(tiny_corpus, "robots.parquet"))
+        pages = os.path.join(tiny_corpus, "pages")
+
+        def run(name, blocks):
+            ledger_dir = str(tmp_path / name)
+            os.makedirs(ledger_dir)
+            fn = fr._wave_task(pages, lexicon_ref, CFG, 1, ledger_dir, robots)
+            cand = pd.concat([fn(b) for b in blocks], ignore_index=True)
+            cand = cand.sort_values(["ord1", "ord2"]).reset_index(drop=True)
+            return ledger_dir, cand
+
+        per_dir, per_cand = run(
+            "per_bucket", [g.reset_index(drop=True) for _, g in batch.groupby("bucket")]
+        )
+        one_dir, one_cand = run("batched", [batch])
+        names = sorted(os.listdir(per_dir))
+        assert names == sorted(os.listdir(one_dir))
+        assert len(names) == batch["bucket"].nunique()
+        for f in names:
+            assert pq.read_table(os.path.join(per_dir, f)).equals(
+                pq.read_table(os.path.join(one_dir, f))
+            ), f
+        assert len(one_cand) > 0
+        pd.testing.assert_frame_equal(per_cand, one_cand)
 
     def test_streamed_waves_keep_frontier_off_driver(self, tiny_corpus, tmp_path, monkeypatch):
         """With the streamed path forced, the pending frontier must never

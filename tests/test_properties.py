@@ -83,14 +83,53 @@ class TestSeenShardLogic:
                     shard.snapshot_delta_to(os.path.join(d, f"delta-{i}.bin"))
                     assert shard.ram_key_count() == 0
                 # the crawl dedups within a wave before it probes
-                batch = list(dict.fromkeys(pool[j % len(pool)] for j in idxs))
+                raw = [pool[j % len(pool)] for j in idxs]
+                batch = list(dict.fromkeys(raw))
                 new = shard.probe_new(b"".join(batch))
                 assert list(new) == [k not in seen for k in batch]
                 fresh = [k for k, n in zip(batch, new) if n]
-                assert shard.add_blob(b"".join(fresh)) == len(fresh)
-                assert shard.add_blob(b"".join(batch)) == 0  # idempotent
+                if i % 2:
+                    assert shard.add_blob(b"".join(fresh)) == len(fresh)
+                else:  # the same keys with their repeats: each counts once
+                    assert shard.add_blob(b"".join(k for k in raw if k not in seen)) == len(fresh)
+                assert shard.add_blob(b"".join(raw)) == 0  # idempotent
                 seen.update(batch)
                 assert shard.size() == len(seen)
+                assert shard.cuckoo.count == len(seen)
+
+    def test_repeat_in_one_blob_counts_once(self):
+        from webcrawl_lowres_lang_ray.state.seen import SeenShard
+
+        k = hashlib.sha1(b"k").digest()
+        shard = SeenShard(0)
+        assert shard.add_blob(k + k) == 1
+        assert shard.size() == 1 and shard.cuckoo.count == 1
+
+
+def _text_to_clean_paras_regex(text: str) -> list[str]:
+    """The reference's regex chain (nlp.py:72-87), kept as the spec the
+    regex-free ``textnorm.text_to_clean_paras`` must equal."""
+    import re
+
+    simplified = re.sub(r"(\s*\n){2,}", "\n", text)
+    return [
+        re.sub(r"(^\s+)|(\s+$)", "", p)
+        for p in simplified.splitlines()
+        if not re.match(r"^\s*$", p)
+    ]
+
+
+class TestTextNormProperties:
+    @settings(max_examples=2000, deadline=None)
+    @given(st.lists(st.sampled_from([
+        "a", "b", " ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c",
+        "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+        "\u2028", "\u2029", "\u3000", "\u200b",
+    ]), max_size=40).map("".join))
+    def test_paragraph_split_equals_reference_regexes(self, text):
+        from webcrawl_lowres_lang_ray.functions.textnorm import text_to_clean_paras
+
+        assert text_to_clean_paras(text) == _text_to_clean_paras_regex(text)
 
 
 class TestUrlProperties:

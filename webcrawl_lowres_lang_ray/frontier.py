@@ -13,8 +13,10 @@ num_threads=1 FIFO semantics) with Ray Data execution per wave:
     -> doc-type dispatch (M5) + extract + clean + score   [one fused Arrow
        + link-extract                                      stage, model
                                                            cached per worker]
-    -> ledger partition write  ledger/wave=N/
-    -> candidate insertion: excluded-domain filter, within-wave dedup
+    -> ledger partition write  ledger/wave=N/ (per bucket)
+    -> candidate prep: excluded-domain filter, hashes,     [per-wave-task
+       relative/robots gates (one robots RPC per task)      prep]
+    -> candidate insertion: within-wave dedup
        (first occurrence by (parent_seq, link_idx)), seen probe
        (one actor owns every cuckoo-filter shard),
        deterministic global seq assignment                 [_insert_*]
@@ -184,10 +186,12 @@ def _admit_driver(df: pd.DataFrame, k: int) -> pd.DataFrame:
 
 
 def _wave_task(pages_dir: str, lexicon_ref, cfg: CrawlConfig, wave: int, ledger_dir: str, robots_actors=None, fetcher=None):
-    """The whole per-bucket wave body as ONE task: partitioned fetch join ->
-    extract/score -> write this bucket's ledger partition (resumable layout:
-    ledger/wave=N/part-bKKK.parquet, idempotent overwrite) -> explode links ->
-    prepare candidates (excluded filter, canon/sha1/md5/host/bucket).
+    """The wave body as ONE task over a batch of host buckets.  Per bucket:
+    partitioned fetch join -> extract/score -> write this bucket's ledger
+    partition (resumable layout: ledger/wave=N/part-bKKK-sSSSSSSSSS.parquet,
+    idempotent overwrite).  Then per-wave-task prep: explode the links of
+    every bucket once and prepare them as one candidate frame (excluded
+    filter, canon/sha1/md5/host/bucket, one robots RPC).
 
     Arrow-native: the batch flows in as a zero-copy pyarrow Table
     (``batch_format="pyarrow"`` at both call sites), the page-table html
@@ -205,7 +209,7 @@ def _wave_task(pages_dir: str, lexicon_ref, cfg: CrawlConfig, wave: int, ledger_
 
     page_fetcher = fetcher if fetcher is not None else PageTableFetcher(pages_dir)
 
-    def one_bucket(tbl: pa.Table) -> pd.DataFrame:
+    def one_bucket(tbl: pa.Table) -> list[list[str]]:
         import hashlib
 
         bucket = int(tbl.column("bucket")[0].as_py())
@@ -301,23 +305,7 @@ def _wave_task(pages_dir: str, lexicon_ref, cfg: CrawlConfig, wave: int, ledger_
             ledger_tbl,
             os.path.join(ledger_dir, f"part-b{bucket:03d}-s{min_seq:09d}.parquet"),
         )
-        # candidate explode, vectorized: repeat parents by link counts
-        counts = np.array([len(l) for l in links], dtype=np.int64)
-        total = int(counts.sum())
-        starts = np.cumsum(counts) - counts
-        cand = pd.DataFrame(
-            {
-                "url": pd.Series(
-                    [h for l in links for h in l], dtype="object"
-                ),
-                "query_id": np.repeat(tbl.column("query_id").to_numpy(), counts),
-                "engine": pd.Series(["link"] * total, dtype="object"),
-                "ord1": np.repeat(tbl.column("seq").to_numpy(), counts),
-                "ord2": np.arange(total, dtype=np.int64)
-                - np.repeat(starts, counts),
-            }
-        )
-        return _prepare_candidates(cand, cfg, robots_actors)
+        return links
 
     def fn(batch) -> pd.DataFrame:
         if isinstance(batch, pd.DataFrame):  # driver local fast path
@@ -327,19 +315,32 @@ def _wave_task(pages_dir: str, lexicon_ref, cfg: CrawlConfig, wave: int, ledger_
         if batch.num_rows == 0:
             return _empty_candidates_df()
         buckets = batch.column("bucket").to_numpy()
-        if (buckets == buckets[0]).all():
-            return one_bucket(batch)
-        order = np.argsort(buckets, kind="stable")
-        tbl = batch.take(pa.array(order))
-        bvals = buckets[order]
-        bounds = np.flatnonzero(np.r_[True, bvals[1:] != bvals[:-1], True])
-        return pd.concat(
-            [
-                one_bucket(tbl.slice(bounds[i], bounds[i + 1] - bounds[i]))
-                for i in range(len(bounds) - 1)
-            ],
-            ignore_index=True,
+        if (buckets[1:] < buckets[:-1]).any():
+            order = np.argsort(buckets, kind="stable")
+            batch = batch.take(pa.array(order))
+            buckets = buckets[order]
+        bounds = np.flatnonzero(np.r_[True, buckets[1:] != buckets[:-1], True])
+        # fetch, score and the ledger write stay per bucket; the links come
+        # back in batch row order, so one explode and one candidate prep
+        # (one robots RPC) serve the whole task
+        links = [
+            l
+            for a, b in zip(bounds[:-1], bounds[1:])
+            for l in one_bucket(batch.slice(a, b - a))
+        ]
+        counts = np.fromiter(map(len, links), dtype=np.int64, count=len(links))
+        total = int(counts.sum())
+        starts = np.cumsum(counts) - counts
+        cand = pd.DataFrame(
+            {
+                "url": pd.Series([h for l in links for h in l], dtype="object"),
+                "query_id": np.repeat(batch.column("query_id").to_numpy(), counts),
+                "engine": pd.Series(["link"] * total, dtype="object"),
+                "ord1": np.repeat(batch.column("seq").to_numpy(), counts),
+                "ord2": np.arange(total, dtype=np.int64) - np.repeat(starts, counts),
+            }
         )
+        return _prepare_candidates(cand, cfg, robots_actors)
 
     return fn
 
@@ -863,20 +864,16 @@ def run_crawl(
             sec["gates"] = round(time.time() - t_sec, 3)
             t_sec = time.time()
             # 3. fetch -> extract -> score -> ledger write -> links: ONE fused
-            # per-bucket task (_wave_task); each task reads exactly one page-
-            # table bucket file (partitioned hash join, no sort shuffle),
-            # writes its own ledger partition, returns prepared candidates.
+            # task (_wave_task) per packed block of buckets; per bucket it
+            # reads exactly one page-table bucket file (partitioned hash
+            # join, no sort shuffle) and writes its own ledger partition,
+            # then returns the block's candidates from one per-wave-task prep.
             cand_df = _empty_candidates_df()
             wave_fn = _wave_task(pages_dir, lexicon_ref, cfg, wave, ledger_dir, robots_actors, fetcher=fetcher)
             if len(to_fetch) and len(to_fetch) <= SMALL_WAVE_MAX_ROWS:
-                # local fast path: same kernel, no cluster fan-out
-                cand_df = pd.concat(
-                    [
-                        wave_fn(g.reset_index(drop=True))
-                        for _, g in to_fetch.groupby("bucket", sort=True)
-                    ],
-                    ignore_index=True,
-                )
+                # local fast path: same kernel, no cluster fan-out, the whole
+                # wave as one task
+                cand_df = wave_fn(to_fetch)
             elif len(to_fetch):
                 # task granularity is decoupled from the bucket count: bucket
                 # groups are LPT-bin-packed into ~4x cluster CPUs blocks (a

@@ -1,11 +1,16 @@
 """Text cleaning and paragraph splitting.
 
-Replicates the reference's normalization chain exactly (same regexes, same
-order of operations):
+Replicates the reference's normalization chain exactly (same outputs):
 
 * ``clean_text``                — collapse >=3 newlines to 2 (nlp.py:67-70)
 * ``text_to_clean_paras``       — blank-line-run paragraph split + strip
-                                  (nlp.py:72-87)
+                                  (nlp.py:72-87).  The reference uses three
+                                  regexes; ``splitlines`` + ``strip`` + drop
+                                  empty lines gives the same list, because
+                                  ``re``'s whitespace class and ``str.strip``
+                                  share one Unicode whitespace test and every
+                                  line boundary is whitespace
+                                  (tests/test_properties.py pins old == new)
 * ``convert_text_to_paras``     — min-word-count paragraph filter
                                   (nlp.py:117-148, sans the logging globals)
 * ``convert_text_to_parachunks``— greedy concatenation variant
@@ -18,9 +23,6 @@ from __future__ import annotations
 import re
 
 _CLEAN_RE = re.compile(r"\n{3,}")
-_PARA_BOUNDARY_RE = re.compile(r"(\s*\n){2,}")
-_BLANK_RE = re.compile(r"^\s*$")
-_EDGE_WS_RE = re.compile(r"(^\s+)|(\s+$)")
 
 
 def clean_text(text: str, reg_expr=None, replace_str: str = "\n\n") -> str:
@@ -30,14 +32,7 @@ def clean_text(text: str, reg_expr=None, replace_str: str = "\n\n") -> str:
 
 
 def text_to_clean_paras(text: str) -> list[str]:
-    simplified = _PARA_BOUNDARY_RE.sub("\n", text)
-    paras = simplified.splitlines()
-    clean_paras = []
-    for para in paras:
-        if _BLANK_RE.match(para):
-            continue
-        clean_paras.append(_EDGE_WS_RE.sub("", para))
-    return clean_paras
+    return [s for s in (p.strip() for p in text.splitlines()) if s]
 
 
 def convert_text_to_paras(text: str, min_para_word_len: int) -> list[str]:

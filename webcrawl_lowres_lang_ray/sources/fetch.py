@@ -3,13 +3,14 @@
 The reference crawls the live web (lrl-crawler.py:185-226 urllib path,
 seleniumutils.py:51-85 browser path); the sandboxed engine simulates the
 web as a host-hash-bucketed Parquet page table.  Both are the same seam:
-``fetch(bucket, urls) -> {url: (payload_bytes, content_type)}`` consumed
-by ``frontier._wave_task``.  URLs absent from the mapping are failed
+``fetch(bucket, urls) -> {url: (payload_bytes, content_type)}``, called
+once per host bucket by ``frontier._wave_task`` (whose candidate prep runs
+once per wave task).  URLs absent from the mapping are failed
 fetches (404 / timeout / non-HTML), exactly how the wave body already
 treats page-table misses.
 
 * ``PageTableFetcher`` — the default: one bucket-pruned Parquet read with
-  a pushed ``url IN (...)`` predicate per wave task (only this bucket's
+  a pushed ``url IN (...)`` predicate per bucket (only this bucket's
   rows and only the three needed columns leave storage).
 * ``HttpFetcher``    — a real network fetcher over stdlib urllib: one
   actor-task-local opener, per-URL timeout, optional ``base_url`` rewrite

@@ -266,8 +266,12 @@ class SeenShard:
 
     def add_blob(self, blob: bytes) -> int:
         """Register digests as seen.  Idempotent: re-adding is a set union,
-        so a retried caller cannot corrupt state.  Returns keys newly added."""
+        so a retried caller cannot corrupt state.  Returns keys newly added
+        (a key repeated within the blob counts once)."""
         keys = np.frombuffer(blob, dtype=np.uint8).reshape(-1, KEY_LEN)
+        _, first = np.unique(keys.view(_V20).ravel(), return_index=True)
+        if len(first) < len(keys):
+            keys = keys[np.sort(first)]
         fresh = ~self._present_mask(keys)
         if fresh.any():
             self._register_new(keys[fresh])
