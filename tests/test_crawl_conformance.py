@@ -33,6 +33,38 @@ def _oracle_df(corpus, cfg) -> pd.DataFrame:
     )
 
 
+_STAT_FIELDS = (
+    "waves", "inserted", "fetched", "failed", "rejected",
+    "skipped_relative", "robots_blocked",
+)
+
+
+def _stat_values(stats) -> dict:
+    return {k: getattr(stats, k) for k in _STAT_FIELDS}
+
+
+def _assert_manifest_counts(out: str, stats) -> None:
+    """Each wave's manifest carries that wave's ledger counter sums and the
+    running totals through it; the last totals are the crawl's CrawlStats."""
+    import json
+    import os
+
+    import webcrawl_lowres_lang_ray.checkpoint as ckpt
+    from webcrawl_lowres_lang_ray.frontier import LEDGER_COUNTERS
+
+    ledger = load_ledger(out, include_pending=False)
+    assert stats.waves > 0
+    for w in range(stats.waves):
+        with open(ckpt.manifest_path(out, w)) as f:
+            man = json.load(f)
+        rows, upto = ledger.loc[ledger["wave"] == w], ledger.loc[ledger["wave"] <= w]
+        for k, col in LEDGER_COUNTERS.items():
+            assert man["wave_counts"][k] == int(rows[col].sum()), (w, k)
+            assert man[k] == int(upto[col].sum()), (w, k)
+    for k in LEDGER_COUNTERS:
+        assert getattr(stats, k) == man[k], k
+
+
 def _assert_ledger_equal(eng: pd.DataFrame, orc: pd.DataFrame):
     assert len(eng) == len(orc), f"row count {len(eng)} != {len(orc)}"
     for c in LEDGER_META_COLS:
@@ -103,13 +135,48 @@ class TestCrawlConformance:
 
     def test_resume_equals_uninterrupted(self, tiny_corpus, tmp_path):
         full_out = str(tmp_path / "full")
-        run_crawl(tiny_corpus, full_out, CFG)
+        full = run_crawl(tiny_corpus, full_out, CFG)
         # "kill" after 2 waves, then resume
         part_out = str(tmp_path / "part")
         run_crawl(tiny_corpus, part_out, CFG.replace(max_waves=2))
         stats = run_crawl(tiny_corpus, part_out, CFG, resume=True)
         assert stats.waves > 2
         _assert_ledger_equal(load_ledger(part_out), load_ledger(full_out))
+        # the counters of the two waves before the stop come back from the
+        # manifest: the resumed crawl reports the uninterrupted crawl's stats
+        assert _stat_values(stats) == _stat_values(full)
+        _assert_manifest_counts(part_out, stats)
+
+    @pytest.mark.parametrize("path", ["local", "fanout", "streamed"])
+    def test_manifest_counters_equal_ledger_sums(
+        self, tiny_corpus, tmp_path, monkeypatch, path
+    ):
+        """Every wave manifest records that wave's five ledger counters,
+        summed from the ledger partitions' footers, on each wave path: the
+        driver-local wave, the raw-task fan-out and the streamed wave (whose
+        norun partitions are written by the admission tasks)."""
+        import shutil
+
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        import webcrawl_lowres_lang_ray.frontier as fr
+
+        # the tiny corpus blocks no crawled URL by robots.txt: a copy whose
+        # robots rules shut out one host exercises all five counters
+        corpus = str(tmp_path / "corpus")
+        shutil.copytree(tiny_corpus, corpus)
+        robots = pq.read_table(f"{corpus}/robots.parquet").to_pylist()
+        robots.append({"host": "host001.example.org", "disallow": ["/"]})
+        pq.write_table(pa.Table.from_pylist(robots), f"{corpus}/robots.parquet")
+        if path != "local":
+            monkeypatch.setattr(fr, "SMALL_WAVE_MAX_ROWS", 0)
+        if path == "streamed":
+            monkeypatch.setattr(fr, "DRIVER_PATH_MAX_ROWS", 0)
+        out = str(tmp_path / "out")
+        stats = run_crawl(corpus, out, CFG)
+        _assert_manifest_counts(out, stats)
+        assert all(v > 0 for v in _stat_values(stats).values()), _stat_values(stats)
 
     def test_dead_seen_actor_fails_loudly_then_resumes(self, tiny_corpus, tmp_path, monkeypatch):
         """The seen actor dying after wave 1's manifest must stop the crawl

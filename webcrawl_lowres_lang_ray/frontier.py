@@ -40,8 +40,9 @@ Scale notes (the 100 TB story):
   small waves still take because a cluster fan-out costs more than the
   work).
 * The page-table side of fetch is only ever read one host-hash bucket at a
-  time with an ``url in (...)`` predicate pushed into the Parquet read —
-  no stage scans the whole corpus.
+  time, and inside it only the url-sorted row groups whose footer
+  statistics can hold the requested URLs (sources/fetch.py) — no stage
+  scans the whole corpus.
 * html bytes flow fetch->score inside one streaming execution as Arrow
   binary columns (never pandas object columns) and are dropped before any
   write; the ledger keeps text, hashes and metrics only.
@@ -54,6 +55,7 @@ Scale notes (the 100 TB story):
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import time
@@ -62,6 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 import ray.data
@@ -133,6 +136,38 @@ LEDGER_DTYPES = {
     "nlp_para_count": "int64", "nlp_para_count_lrl": "int64",
     "nlp_para_perc_lrl": "float64", "rejected": "bool",
 }
+
+
+# CrawlStats counter -> the ledger bool column it counts.  Every ledger
+# partition carries its own sums in its Parquet footer (key-value metadata
+# under _LEDGER_COUNTS_KEY); after each wave the driver adds that wave's
+# footers to CrawlStats and the manifest — no row data is read back.
+LEDGER_COUNTERS = {
+    "fetched": "downloaded",
+    "failed": "downloaded_failed",
+    "rejected": "rejected",
+    "skipped_relative": "skipped_relative",
+    "robots_blocked": "robots_blocked",
+}
+_LEDGER_COUNTS_KEY = b"ledger_counts"
+
+
+def _write_ledger_part(tbl: pa.Table, path: str) -> None:
+    """Write one ledger partition with its counter sums in the footer."""
+    counts = {k: int(pc.sum(tbl.column(c)).as_py() or 0) for k, c in LEDGER_COUNTERS.items()}
+    meta = {**(tbl.schema.metadata or {}), _LEDGER_COUNTS_KEY: json.dumps(counts).encode()}
+    pq.write_table(tbl.replace_schema_metadata(meta), path)
+
+
+def _wave_counts(ledger_dir: str) -> dict[str, int]:
+    """One wave's ledger counters, summed from its partitions' footers."""
+    total = dict.fromkeys(LEDGER_COUNTERS, 0)
+    for f in os.listdir(ledger_dir):
+        if f.endswith(".parquet"):
+            meta = pq.read_metadata(os.path.join(ledger_dir, f)).metadata
+            for k, v in json.loads(meta[_LEDGER_COUNTS_KEY]).items():
+                total[k] += v
+    return total
 
 
 def empty_ledger_df(columns: list[str] | None = None) -> pd.DataFrame:
@@ -301,7 +336,7 @@ def _wave_task(pages_dir: str, lexicon_ref, cfg: CrawlConfig, wave: int, ledger_
         # slices always have distinct minima — so names never collide and a
         # retried task deterministically rewrites exactly its own file
         min_seq = int(tbl.column("seq").to_numpy().min())
-        pq.write_table(
+        _write_ledger_part(
             ledger_tbl,
             os.path.join(ledger_dir, f"part-b{bucket:03d}-s{min_seq:09d}.parquet"),
         )
@@ -719,7 +754,7 @@ def _run_wave_streamed(
         norun = rel | rob
         if norun.any():
             rows = _norun_ledger_rows(adm.loc[norun], wave, rel[norun], rob[norun])
-            pq.write_table(
+            _write_ledger_part(
                 pa.Table.from_pandas(rows, preserve_index=False),
                 os.path.join(ledger_dir, f"norun-p{part:03d}.parquet"),
             )
@@ -778,6 +813,10 @@ def run_crawl(
         wave = manifest["wave"] + 1
         next_seq = manifest["next_seq"]
         stats.inserted = manifest["inserted"]
+        # a manifest from before the counters were carried per wave lacks
+        # some of them: those restart from 0 (the ledger is unaffected)
+        for k in LEDGER_COUNTERS:
+            setattr(stats, k, manifest.get(k, 0))
         restore_all_from(
             seen_shards, ckpt.seen_delta_paths(out_dir, wave, cfg.num_seen_shards)
         )
@@ -856,7 +895,7 @@ def run_crawl(
                 norun_rows = _norun_ledger_rows(
                     norun, wave, rel_mask[norun_mask], rob_mask[norun_mask]
                 )
-                pq.write_table(
+                _write_ledger_part(
                     pa.Table.from_pandas(norun_rows, preserve_index=False),
                     os.path.join(ledger_dir, "norun.parquet"),
                 )
@@ -943,8 +982,12 @@ def run_crawl(
             stats.inserted += inserted
             sec["insert"] = round(time.time() - t_sec, 3)
 
-        # ---- checkpoint (common tail): actor-side seen snapshots + manifest
+        # ---- checkpoint (common tail): counters from this wave's ledger
+        # footers, actor-side seen snapshots, manifest
         t_sec = time.time()
+        counts = _wave_counts(ckpt.wave_dir(out_dir, "ledger", wave))
+        for k, v in counts.items():
+            setattr(stats, k, getattr(stats, k) + v)
         snap_paths = snapshot_all_to(
             seen_shards,
             ckpt.seen_snapshot_paths(out_dir, wave + 1, cfg.num_seen_shards),
@@ -956,8 +999,8 @@ def run_crawl(
                 "wave": wave,
                 "next_seq": next_seq,
                 "inserted": stats.inserted,
-                "fetched": stats.fetched,
-                "failed": stats.failed,
+                **{k: getattr(stats, k) for k in LEDGER_COUNTERS},
+                "wave_counts": counts,
                 "pending": int(pending_count),
                 "seen_snapshots": snap_paths,
                 "wave_sec": round(time.time() - wave_t0, 3),
@@ -971,34 +1014,6 @@ def run_crawl(
         wave += 1
 
     stats.waves = wave
-    # fetch/fail/reject/gate counters from the ledger partitions (single
-    # columnar pass at the end instead of a driver pull of text per wave).
-    # Footer reads release the GIL, so a thread pool turns this from a
-    # serial O(partition-files) driver tail (~4.5 s at sf0.1 — a pure
-    # Amdahl term the 16-cpu leg pays in full) into a parallel sweep.
-    import glob
-    from concurrent.futures import ThreadPoolExecutor
-
-    parts = glob.glob(os.path.join(out_dir, "ledger", "wave=*", "*.parquet"))
-    import pyarrow.compute as pc
-
-    _cols = [
-        "downloaded", "downloaded_failed", "rejected",
-        "skipped_relative", "robots_blocked",
-    ]
-
-    def _part_sums(p: str) -> list[int]:
-        t = pq.read_table(p, columns=_cols)
-        return [int(pc.sum(t[c]).as_py() or 0) for c in _cols]
-
-    if parts:
-        with ThreadPoolExecutor(max_workers=min(16, len(parts))) as ex:
-            sums = np.array(list(ex.map(_part_sums, parts)), dtype=np.int64).sum(axis=0)
-        stats.fetched += int(sums[0])
-        stats.failed += int(sums[1])
-        stats.rejected += int(sums[2])
-        stats.skipped_relative += int(sums[3])
-        stats.robots_blocked += int(sums[4])
     stats.elapsed_sec = time.time() - t0
     return stats
 

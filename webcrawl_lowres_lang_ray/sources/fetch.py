@@ -9,9 +9,13 @@ once per wave task).  URLs absent from the mapping are failed
 fetches (404 / timeout / non-HTML), exactly how the wave body already
 treats page-table misses.
 
-* ``PageTableFetcher`` — the default: one bucket-pruned Parquet read with
-  a pushed ``url IN (...)`` predicate per bucket (only this bucket's
-  rows and only the three needed columns leave storage).
+* ``PageTableFetcher`` — the default: a point lookup into one bucket
+  file.  The file's row-group footer statistics prune it to the row groups
+  whose ``url`` min/max range holds a requested URL; only those groups and
+  only the three needed columns are decoded, then filtered to the exact
+  URLs.  Any page table works — a row group without statistics is always
+  read — but the synthetic one (sources/synth.py) is url-sorted in 16-row
+  groups, so a one-URL fetch decodes 16 rows, not the whole bucket.
 * ``HttpFetcher``    — a real network fetcher over stdlib urllib: one
   actor-task-local opener, per-URL timeout, optional ``base_url`` rewrite
   (point a synthetic frontier's absolute URLs at a proxy / mirror / test
@@ -26,13 +30,16 @@ and shipped inside the fused wave closure).
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from urllib.parse import urlsplit
 
+import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 
 class PageTableFetcher:
-    """Simulated web: bucket-pruned read of the corpus page table."""
+    """Simulated web: stats-pruned point lookups into the corpus page table."""
 
     def __init__(self, pages_dir: str):
         self.pages_dir = pages_dir
@@ -41,10 +48,27 @@ class PageTableFetcher:
         path = os.path.join(self.pages_dir, f"bucket={bucket:03d}.parquet")
         if not os.path.exists(path):
             return {}
-        pages = pq.read_table(
-            path,
-            columns=["url", "html", "content_type"],
-            filters=[("url", "in", urls)],
+        want = sorted(set(urls))
+        with pq.ParquetFile(path) as pf:
+            meta = pf.metadata
+            col = meta.schema.names.index("url")
+            groups = []
+            for g in range(meta.num_row_groups):
+                st = meta.row_group(g).column(col).statistics
+                if st is not None and st.has_min_max:
+                    # Parquet compares UTF-8 min/max by unsigned bytes, which
+                    # is code-point order: the order of Python str and sorted()
+                    i = bisect_left(want, st.min)
+                    if i == len(want) or want[i] > st.max:
+                        continue  # no requested url inside [min, max]
+                groups.append(g)
+            if not groups:
+                return {}
+            pages = pf.read_row_groups(
+                groups, columns=["url", "html", "content_type"], use_threads=False
+            )
+        pages = pages.filter(
+            pc.is_in(pages.column("url"), value_set=pa.array(want, pa.string()))
         )
         return {
             u: (h, ct)

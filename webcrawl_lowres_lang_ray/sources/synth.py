@@ -29,6 +29,11 @@ on: at 10^10-URL scale the "web" side of fetch is only ever read one bucket
 at a time.  Host (not url) hashing makes the bucket the crawl's single
 partitioning key: politeness admission, the fetch join and the per-wave
 ledger partitions all co-locate on it (functions/hashing.py host_bucket).
+Inside a bucket file the rows are sorted by ``url`` and written in row
+groups of ``PAGE_ROW_GROUP_ROWS`` with column statistics, so a fetch of a
+few URLs reads only the row groups whose ``url`` min/max range can hold
+them (sources/fetch.py) — a point lookup, like Common Crawl's per-URL
+index, instead of a decode of the whole bucket.
 """
 
 from __future__ import annotations
@@ -45,6 +50,9 @@ from ..functions.hashing import host_bucket
 from ..functions.html_text import extract_text_from_html_bytes
 from ..functions.scoring import LangScoringModel
 from urllib.parse import urlparse
+
+# rows per page-table row group: the unit a fetch decodes (sources/fetch.py)
+PAGE_ROW_GROUP_ROWS = 16
 
 _CONSONANTS = "hkmnptvw"
 _VOWELS = "aeiou"
@@ -382,8 +390,16 @@ def generate_corpus(out_dir: str, scfg: SynthConfig, ccfg: CrawlConfig | None = 
     import pyarrow.compute as pc
 
     for b in range(scfg.num_url_buckets):
-        sub = table.filter(pc.equal(table["bucket"], b))
-        pq.write_table(sub, os.path.join(pages_dir, f"bucket={b:03d}.parquet"))
+        # sorted by url, so each row group's url min/max bounds a contiguous
+        # range (Arrow sort_by, Python str and Parquet's unsigned-byte UTF-8
+        # statistics all compare in code-point order)
+        sub = table.filter(pc.equal(table["bucket"], b)).sort_by("url")
+        pq.write_table(
+            sub,
+            os.path.join(pages_dir, f"bucket={b:03d}.parquet"),
+            row_group_size=PAGE_ROW_GROUP_ROWS,
+            write_statistics=True,
+        )
 
     # --- seeds: spread across hosts, first-page-ish, deterministic order ---
     seed_pids = sorted(rng.sample(range(n), min(scfg.seeds_per_corpus, n)))
@@ -464,7 +480,10 @@ _SF_PAGES = {"0.001": 500, "0.01": 5000, "0.1": 300000}
 # v13: pages bucketed by HOST hash (single partitioning key: admission,
 #      fetch join and ledger partitions co-locate on it); page content and
 #      goldens unchanged, file layout only
-CORPUS_VERSION = 13
+# v14: each bucket file sorted by url in 16-row groups with statistics (the
+#      fetch reads only the row groups that can hold the requested urls);
+#      page content and goldens unchanged, file layout only
+CORPUS_VERSION = 14
 
 
 def corpus_dir_for_sf(sf_dir: str, cache_root: str = "/tmp/wllr_corpus") -> str:
