@@ -178,6 +178,45 @@ class TestCrawlConformance:
         _assert_manifest_counts(out, stats)
         assert all(v > 0 for v in _stat_values(stats).values()), _stat_values(stats)
 
+    def test_one_state_actor_serves_seen_and_robots(self, tiny_corpus, tmp_path, monkeypatch):
+        """A crawl starts exactly one state actor: both factories hand back
+        its handle list, and the seen counters and robots stats come from it."""
+        import ray
+
+        import webcrawl_lowres_lang_ray.frontier as fr
+        import webcrawl_lowres_lang_ray.state.seen as seen
+
+        created, got = [], {}
+        actor_cls = seen.SeenShardsAndRobots
+
+        class Counting:
+            @staticmethod
+            def remote(*a, **kw):
+                created.append(actor_cls.remote(*a, **kw))
+                return created[-1]
+
+        def keeping(name):
+            real = getattr(fr, name)
+
+            def keep(*a, **kw):
+                got[name] = real(*a, **kw)
+                return got[name]
+
+            return keep
+
+        monkeypatch.setattr(seen, "SeenShardsAndRobots", Counting)
+        for name in ("create_seen_shards", "create_robots_actors"):
+            monkeypatch.setattr(fr, name, keeping(name))
+        stats = run_crawl(tiny_corpus, str(tmp_path / "out"), CFG)
+        assert len(created) == 1
+        assert got["create_seen_shards"] == created
+        assert got["create_robots_actors"] is got["create_seen_shards"]
+        (state,) = created
+        assert ray.get(state.size.remote()) == stats.inserted > 0
+        assert ray.get(state.run_count.remote()) > 0
+        robots = ray.get(state.stats.remote())
+        assert robots["hosts_cached"] == robots["fetches"] > 0
+
     def test_dead_seen_actor_fails_loudly_then_resumes(self, tiny_corpus, tmp_path, monkeypatch):
         """The seen actor dying after wave 1's manifest must stop the crawl
         with Ray's actor error — not hang, not finish on lost state — and a
@@ -300,6 +339,7 @@ class TestCrawlConformance:
         import webcrawl_lowres_lang_ray.frontier as fr
         from webcrawl_lowres_lang_ray.sources.synth import load_lexicon
         from webcrawl_lowres_lang_ray.state.robots import create_robots_actors
+        from webcrawl_lowres_lang_ray.state.seen import create_seen_shards
 
         out = str(tmp_path / "out")
         run_crawl(tiny_corpus, out, CFG.replace(max_waves=1))
@@ -309,7 +349,10 @@ class TestCrawlConformance:
         assert batch["bucket"].nunique() > 1
         assert (np.diff(batch["bucket"].to_numpy()) < 0).any()
         lexicon_ref = ray.put(load_lexicon(tiny_corpus))
-        robots = create_robots_actors(os.path.join(tiny_corpus, "robots.parquet"))
+        robots = create_robots_actors(
+            os.path.join(tiny_corpus, "robots.parquet"),
+            create_seen_shards(CFG.num_seen_shards),
+        )
         pages = os.path.join(tiny_corpus, "pages")
 
         def run(name, blocks):

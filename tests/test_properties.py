@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import hashlib
+import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from webcrawl_lowres_lang_ray.sources.synth import make_lexicon
 
 digests = st.binary(min_size=20, max_size=20)
 url_text = st.text(
@@ -130,6 +134,130 @@ class TestTextNormProperties:
         from webcrawl_lowres_lang_ray.functions.textnorm import text_to_clean_paras
 
         assert text_to_clean_paras(text) == _text_to_clean_paras_regex(text)
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.lists(st.sampled_from([
+        "a", "b", " ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c",
+        "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+        "\u2028", "\u2029", "\u3000", "\u200b",
+    ]), max_size=40).map("".join))
+    def test_clean_text_equals_reference_regex(self, text):
+        import re
+
+        from webcrawl_lowres_lang_ray.functions.textnorm import clean_text
+
+        assert clean_text(text) == re.sub(r"\n{3,}", "\n\n", text)
+
+
+_LEX = make_lexicon(random.Random(1), 100)
+_LEX_WORDS = sorted(_LEX, key=lambda w: (-_LEX[w], w))[:30]  # most frequent
+# words the per-word decomposition must get right: case folding that changes
+# length or depends on context (İ, final Σ), punctuation and digits inside a
+# word (its sub-tokens), sub-3-char pieces, non-ASCII letters
+_ODD_WORDS = [
+    "don't", "x1y", "a.b.c", "İstanbul", "ΟΔΟΣ", "ΣΑΣ", "όσος", "naïve",
+    "e-mail", "1999", "__init__", "ﬁne", "...", "(", "Ω",
+] + [w.upper() for w in _LEX_WORDS[:5]] + [
+    f"({w})," for w in _LEX_WORDS[5:10]
+] + [f"{w}'s" for w in _LEX_WORDS[10:13]] + [f"{a}-{b}" for a, b in zip(_LEX_WORDS[13:16], _LEX_WORDS[16:19])]
+_IN_LINE = [" ", "  ", "\t", "\xa0", "\u3000", " \t "]
+_LINE_BREAKS = [
+    "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+    "\u2028", "\u2029", "\n\n", "\n\n\n", "\n\n\n\n", " \n", "\n \n\n\n",
+]
+# lines of 0-14 words straddle every minimum paragraph length used below
+_line = st.tuples(
+    st.lists(st.sampled_from(_LEX_WORDS + _ODD_WORDS), max_size=14),
+    st.sampled_from(_IN_LINE), st.sampled_from(["", " ", "\t"]),
+).map(lambda t: t[2] + t[1].join(t[0]) + t[2])
+_scoring_text = st.one_of(
+    st.none(),
+    st.just(""),
+    st.lists(st.sampled_from(_IN_LINE + _LINE_BREAKS), max_size=6).map("".join),
+    st.lists(st.tuples(_line, st.sampled_from(_LINE_BREAKS)), max_size=10).map(
+        lambda ls: "".join(line + brk for line, brk in ls)
+    ),
+)
+_SCORING_CFGS = {
+    "default": {},
+    "unsupported": {"lang_supported": False},
+    "unsupported_short_paras": {
+        "lang_supported": False, "min_termdist_para_word_len": 5,
+        "min_termdist_para_confidence": 0.3,
+    },
+    "short_paras_low_thresholds": {
+        "min_para_word_len": 3, "min_para_confidence": 0.2,
+        "min_full_confidence": 0.3, "min_termdist_para_confidence": 0.2,
+    },
+    "every_line": {"min_para_word_len": 0},
+    "negative_minimum": {"min_para_word_len": -1},
+}
+_SCORERS: dict = {}
+
+
+def _scorers(name: str):
+    """(reference model, [cold, warm, 4-entry-memo] engine models) for one
+    config; the warm and capped models persist across examples."""
+    from webcrawl_lowres_lang_ray.config import CrawlConfig
+    from webcrawl_lowres_lang_ray.functions.scoring import LangScoringModel
+
+    cfg = CrawlConfig(**_SCORING_CFGS[name])
+    if name not in _SCORERS:
+        capped = LangScoringModel(_LEX, cfg)
+        capped.memo.cap = 4
+        _SCORERS[name] = (LangScoringModel(_LEX, cfg), LangScoringModel(_LEX, cfg), capped)
+    ref, warm, capped = _SCORERS[name]
+    return ref, [LangScoringModel(_LEX, cfg), warm, capped]
+
+
+def assert_scorer_equals_reference(ref, models, text) -> None:
+    """The engine's ``score_text`` equals the reference's, and so do the
+    unrounded confidences behind it, for every model."""
+    from webcrawl_lowres_lang_ray.functions.textnorm import clean_text
+
+    want = ref.score_text_reference(text)
+    cleaned = None if text is None else clean_text(text)
+    want_conf = None if cleaned is None else ref.confidences_reference(cleaned)
+    for m in models:
+        assert m.score_text(text) == want
+        if cleaned is not None:
+            full, paras, primary, td = m.confidences(cleaned)
+            assert (full, paras, list(primary), list(td)) == want_conf
+
+
+class TestScorerEqualsReference:
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(sorted(_SCORING_CFGS)), _scoring_text)
+    def test_adversarial_text(self, cfg_name, text):
+        ref, models = _scorers(cfg_name)
+        assert_scorer_equals_reference(ref, models, text)
+
+    @pytest.mark.parametrize("lang_supported", [True, False])
+    def test_every_small_corpus_page(self, small_corpus, lang_supported):
+        import glob
+        import os
+
+        import pyarrow.parquet as pq
+
+        from webcrawl_lowres_lang_ray.config import CrawlConfig
+        from webcrawl_lowres_lang_ray.functions.scoring import LangScoringModel
+        from webcrawl_lowres_lang_ray.sources.synth import load_lexicon
+
+        lex = load_lexicon(small_corpus)
+        cfg = CrawlConfig(lang_supported=lang_supported)
+        ref, warm, capped = (LangScoringModel(lex, cfg) for _ in range(3))
+        capped.memo.cap = 4
+        texts = [
+            t
+            for f in sorted(glob.glob(os.path.join(small_corpus, "pages", "*.parquet")))
+            for t in pq.read_table(f, columns=["text"])["text"].to_pylist()
+        ]
+        assert len(texts) == 500
+        matched = 0
+        for t in texts:
+            assert_scorer_equals_reference(ref, [LangScoringModel(lex, cfg), warm, capped], t)
+            matched += ref.score_text_reference(t).para_count_lrl > 0
+        assert matched > 100
 
 
 class TestUrlProperties:

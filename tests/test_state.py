@@ -219,11 +219,14 @@ class TestRobotsCache:
             create_robots_actors,
             robots_blocked_mask,
         )
+        from webcrawl_lowres_lang_ray.state.seen import create_seen_shards
         import ray
 
         rules = load_robots(small_corpus)
         host = next(iter(rules))
-        actors = create_robots_actors(os.path.join(small_corpus, "robots.parquet"))
+        actors = create_robots_actors(
+            os.path.join(small_corpus, "robots.parquet"), create_seen_shards(2)
+        )
         urls = [
             f"https://{host}/private/x",
             f"https://{host}/public/x",
@@ -250,6 +253,7 @@ class TestRobotsCache:
         from webcrawl_lowres_lang_ray.config import CrawlConfig
         from webcrawl_lowres_lang_ray.frontier import _prepare_candidates
         from webcrawl_lowres_lang_ray.state.robots import create_robots_actors
+        from webcrawl_lowres_lang_ray.state.seen import create_seen_shards
 
         urls = [f"https://host{h}.example.org/p{i}" for h in range(40) for i in range(3)]
         cand = pd.DataFrame(
@@ -261,7 +265,9 @@ class TestRobotsCache:
                 "ord2": np.int64(0),
             }
         )
-        actors = create_robots_actors(os.path.join(small_corpus, "robots.parquet"))
+        actors = create_robots_actors(
+            os.path.join(small_corpus, "robots.parquet"), create_seen_shards(2)
+        )
 
         # max_calls=1: each call runs in a fresh worker process
         @ray.remote(num_cpus=1, max_calls=1)

@@ -5,7 +5,8 @@ num_threads=1 FIFO semantics) with Ray Data execution per wave:
 
   frontier parquet (sorted spill)                        [checkpoint.py]
     -> politeness admission   groupby(host) head-k by seq [state/politeness.py]
-    -> relative-URL skip + robots gate                    [state/robots.py actor]
+    -> relative-URL skip + robots gate                    [state/robots.py, in
+                                                           the state actor]
     -> fetch = partitioned hash join vs the page table
        (pre-partitioned by HOST-hash bucket — the crawl's
        single partitioning key); bucket groups LPT-bin-
@@ -18,7 +19,8 @@ num_threads=1 FIFO semantics) with Ray Data execution per wave:
        relative/robots gates (one robots RPC per task)      prep]
     -> candidate insertion: within-wave dedup
        (first occurrence by (parent_seq, link_idx)), seen probe
-       (one actor owns every cuckoo-filter shard),
+       (the one state actor owns every cuckoo-filter shard
+       and the robots cache),
        deterministic global seq assignment                 [_insert_*]
     -> next frontier partition + manifest + seen snapshots
 
@@ -48,7 +50,7 @@ Scale notes (the 100 TB story):
   write; the ledger keeps text, hashes and metrics only.
 * Admission orders by (priority DESC, seq ASC) — the priority-frontier
   hook; all-default priorities degrade to exact reference FIFO parity.
-* Seen-set checkpoints are written by the seen actor itself, one delta
+* Seen-set checkpoints are written by the state actor itself, one delta
   file per shard (snapshot_to), so 10^10-key snapshots never route through
   the driver.
 """
@@ -806,7 +808,9 @@ def run_crawl(
 
     lexicon_ref = ray.put(load_lexicon(corpus_dir))
     seen_shards = create_seen_shards(cfg.num_seen_shards)
-    robots_actors = create_robots_actors(robots_path) if cfg.apply_robots else []
+    robots_actors = (
+        create_robots_actors(robots_path, seen_shards) if cfg.apply_robots else []
+    )
 
     manifest = ckpt.latest_manifest(out_dir) if resume else None
     if manifest is not None:

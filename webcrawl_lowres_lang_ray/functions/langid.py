@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections import Counter
 
 import numpy as np
 
@@ -29,25 +28,8 @@ def word_trigrams(word: str):
         yield padded[i : i + 3]
 
 
-# per-process word -> trigram-list memo: natural-language token streams are
-# Zipf-distributed, so the hit rate is near 1 and the per-word slicing cost
-# amortizes away (bounded; one dict per worker process)
-_WORD_TRIS: dict[str, list[str]] = {}
+# bound on each per-model word memo (Zipf token streams: hit rate ~1)
 _WORD_TRIS_MAX = 1 << 18
-
-
-def text_trigram_counts(text: str) -> dict[str, int]:
-    cache = _WORD_TRIS
-    tris: list[str] = []
-    for w in text.lower().split():
-        wt = cache.get(w)
-        if wt is None:
-            padded = f" {w} "
-            wt = [padded[i : i + 3] for i in range(len(padded) - 2)]
-            if len(cache) < _WORD_TRIS_MAX:
-                cache[w] = wt
-        tris.extend(wt)
-    return Counter(tris)  # C-speed counting of the flat trigram list
 
 
 class NgramLangModel:
@@ -84,8 +66,18 @@ class NgramLangModel:
 
     def _ids_for_word(self, w: str) -> list[int]:
         a = self._word_ids.get(w)
-        if a is not None:
-            return a
+        if a is None:
+            a = self.trigram_ids(w)
+            if len(self._word_ids) < _WORD_TRIS_MAX:
+                self._word_ids[w] = a
+        return a
+
+    def word_ids(self, word: str) -> list[int]:
+        """The trigram ids of one whitespace-free word, lowered."""
+        return self.trigram_ids(word.lower())
+
+    def trigram_ids(self, w: str) -> list[int]:
+        """The trigram ids of one (already lowered) word, in order."""
         padded = f" {w} "
         ids = []
         index = self.index
@@ -101,8 +93,6 @@ class NgramLangModel:
                     if len(unk) < self._unk_cache_cap:
                         unk[g] = j
             ids.append(j)
-        if len(self._word_ids) < _WORD_TRIS_MAX:
-            self._word_ids[w] = ids
         return ids
 
     def confidence(self, text: str) -> float:
@@ -114,7 +104,16 @@ class NgramLangModel:
         ids: list[int] = []
         for w in words:
             ids.extend(self._ids_for_word(w))
-        uids, counts = np.unique(np.array(ids, dtype=np.int64), return_counts=True)
+        return self.cosine(
+            *np.unique(np.array(ids, dtype=np.int64), return_counts=True)
+        )
+
+    def cosine(self, uids: np.ndarray, counts: np.ndarray) -> float:
+        """Cosine of a text's sorted (trigram id, count) arrays with the
+        profile — the one expression every caller shares, so confidences are
+        bit-equal however the counts were built."""
+        if self.norm == 0.0:
+            return 0.0
         cf = counts.astype(np.float64)
         pnorm_sq = float(cf @ cf)
         hit = uids < len(self.grams)

@@ -82,14 +82,23 @@ class TermVecModel:
         self.norm = float(np.sqrt(np.dot(self.vec, self.vec)))
 
     def confidence(self, text: str) -> float:
-        tokens = tokenize_filtered(text)
         idx = self.index
-        hit = [idx[t] for t in tokens if t in idx]
-        if not hit or self.norm == 0.0:
+        return self.cosine(np.asarray(
+            [idx[t] for t in tokenize_filtered(text) if t in idx], dtype=np.int64
+        ))
+
+    def word_ids(self, word: str) -> list[int]:
+        """Lexicon ids of one whitespace-free word's filtered sub-tokens (a
+        text's tokens are the concatenation of its words')."""
+        idx = self.index
+        return [idx[t] for t in tokenize_filtered(word) if t in idx]
+
+    def cosine(self, hit: np.ndarray) -> float:
+        """Cosine of the lexicon ids ``hit`` (one per matching token) with the
+        lexicon vector."""
+        if not len(hit) or self.norm == 0.0:
             return 0.0
-        counts = np.bincount(
-            np.asarray(hit, dtype=np.int64), minlength=len(self.vec)
-        ).astype(np.float64)
+        counts = np.bincount(hit, minlength=len(self.vec)).astype(np.float64)
         pnorm = math.sqrt(float(np.dot(counts, counts)))
         if pnorm == 0.0:
             return 0.0

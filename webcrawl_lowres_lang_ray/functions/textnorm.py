@@ -27,7 +27,8 @@ _CLEAN_RE = re.compile(r"\n{3,}")
 
 def clean_text(text: str, reg_expr=None, replace_str: str = "\n\n") -> str:
     if reg_expr is None:
-        return _CLEAN_RE.sub(replace_str, text)
+        # the substitution scans the whole text even when nothing matches
+        return _CLEAN_RE.sub(replace_str, text) if "\n\n\n" in text else text
     return re.sub(reg_expr, replace_str, text)
 
 

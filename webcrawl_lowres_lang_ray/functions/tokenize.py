@@ -158,10 +158,3 @@ def token_partial_counts_arrow(col, min_char_len: int = 3):
     return pa.table(
         {"token": vc.field("values"), "count": pc.cast(vc.field("counts"), pa.int64())}
     )
-
-
-def token_count_batch(texts: np.ndarray) -> np.ndarray:
-    """Whitespace token count per row (vectorized split)."""
-    return np.array(
-        [0 if t is None else len(t.split()) for t in texts], dtype=np.int64
-    )

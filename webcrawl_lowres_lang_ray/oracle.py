@@ -195,7 +195,7 @@ def run_oracle(corpus_dir: str, cfg: CrawlConfig | None = None) -> OracleResult:
                     text = None
                 text = text or ""
             row["text"] = text
-            sr = scorer.score_text(text)
+            sr = scorer.score_text_reference(text)
             row["handled"] = True
             row["nlp_full_lang"] = sr.full_lang or ""
             row["nlp_full_confidence"] = sr.full_conf

@@ -233,7 +233,7 @@ def _score_chunk(args: tuple[list[bytes], list]) -> tuple[list[str], list[str]]:
         if not t and dt != "html":
             langs.append("<NONE>")
             continue
-        res = scorer.score_text(t)
+        res = scorer.score_text_reference(t)
         langs.append(res.full_lang if res.full_lang is not None else "<NONE>")
     return texts, langs
 

@@ -1,12 +1,14 @@
-"""Robots.txt cache actor.
+"""Robots.txt cache.
 
 The reference re-fetches and re-parses robots.txt for EVERY url
 (lrl-crawler.py:173-181 — a RobotFileParser per call, no cache; SURVEY.md
 §2.3 A6 flags this).  The north rule mandates a caching actor: one
-``RobotsCache`` actor serves every process of the crawl, so each host's
-rules are "fetched" (here: read from the corpus's robots table — the
-sandbox stand-in for an HTTP fetch of ``<root>/robots.txt``) and parsed
-once, then it answers vectorized allow/deny queries.
+``RobotsCache`` lives inside the crawl's single state actor (the one that
+also owns the URL-seen shards, ``state/seen.py``) and serves every process
+of the crawl, so each host's rules are "fetched" (here: read from the
+corpus's robots table — the sandbox stand-in for an HTTP fetch of
+``<root>/robots.txt``) and parsed once, then it answers vectorized
+allow/deny queries.
 
 Rule semantics match the reference's observable behavior with
 ``RobotFileParser.can_fetch("*", url)`` for simple ``Disallow:`` prefix
@@ -23,7 +25,6 @@ import pyarrow.parquet as pq
 import ray
 
 
-@ray.remote(num_cpus=0)  # lightweight RPC state actor: microsecond lookups, no compute slot
 class RobotsCache:
     """The crawl's robots cache; caches per-host rules on first miss."""
 
@@ -62,11 +63,17 @@ class RobotsCache:
         return {"hosts_cached": len(self.cache), "fetches": self.fetches}
 
 
-def create_robots_actors(robots_parquet_path: str | None):
-    return [RobotsCache.remote(robots_parquet_path)]
+def create_robots_actors(robots_parquet_path: str | None, state):
+    """Give the crawl's state actor (``state``, the handle list
+    ``seen.create_seen_shards`` returned) its robots source and return that
+    list.  Waits until the source is set: wave tasks query the actor from
+    other processes, whose calls are not ordered after this one."""
+    (actor,) = state
+    ray.get(actor.load_robots.remote(robots_parquet_path))
+    return state
 
 
 def robots_blocked_mask(actors, urls: list[str]) -> np.ndarray:
-    """The blocked mask of ``urls`` from the crawl's one robots actor."""
+    """The blocked mask of ``urls`` from the crawl's state actor."""
     (actor,) = actors
     return ray.get(actor.blocked_batch.remote(urls))

@@ -4,9 +4,12 @@ The reference's URL-seen check is a SQLite ``url_hash IN (...)`` existence
 probe before insert (sql.py:180-189, used by insert_urls_many
 sql.py:213-246).  The rebuild shards the seen set by the digest's trailing
 4 bytes ``% num_shards`` (north rule: sharded cuckoo filter, SHA-1
-canonical-URL keys).  The shards are data, not processes: ONE Ray actor
-(``SeenShardSet``) owns every shard and routes each batch inside itself, so
-a probe, add or snapshot is one RPC whatever the shard count:
+canonical-URL keys).  The shards are data, not processes: the crawl's ONE
+state actor (``SeenShardsAndRobots``) owns every shard and routes each
+batch inside itself, so a probe, add or snapshot is one RPC whatever the
+shard count, and the same process also hosts the robots cache
+(``state/robots.py``) — a crawl boots one actor process, not one per kind
+of state:
 
 * ``CuckooFilter`` — a real partial-key cuckoo filter (numpy table,
   4-slot buckets, 16-bit fingerprints): answers "definitely new" without
@@ -23,7 +26,8 @@ a probe, add or snapshot is one RPC whatever the shard count:
     10^10-URL scale the filter (~4.5 bytes/key) stays in RAM while the
     ~200 GB of exact keys stay on disk, and the filter's ~1e-4 FP rate
     means ~one binary search per 10^4 genuinely-new keys.
-* ``SeenShardSet`` — the actor holding ``num_shards`` ``SeenShard`` objects.
+* ``SeenShardsAndRobots`` — the state actor: ``num_shards`` ``SeenShard``
+  objects plus one ``RobotsCache``.
 
 Retry-safe protocol (streamed insertion path, frontier._insert_streamed):
 ``probe_new`` is READ-ONLY, so a Ray task retry that re-probes returns the
@@ -44,6 +48,8 @@ import os
 
 import numpy as np
 import ray
+
+from .robots import RobotsCache
 
 _EVICTION_LIMIT = 500
 KEY_LEN = 20
@@ -339,13 +345,19 @@ def matrix_shard_ids(mat: np.ndarray, num_shards: int) -> np.ndarray:
     ).astype(np.int64)
 
 
+# one process for all crawl state: every actor is a fresh Python process
+# that imports Ray, numpy and pyarrow, so a second one doubles the boot CPU.
+# The class name keeps the ``SeenShard`` process-name prefix that
+# perfbench/procstat.py counts as state-actor CPU.
 @ray.remote(num_cpus=0)  # lightweight RPC state actor: microsecond lookups, no compute slot
-class SeenShardSet:
-    """Every shard of the URL-seen set in one process: each call splits its
-    digest blob by owning shard here, so callers send one RPC per batch."""
+class SeenShardsAndRobots:
+    """Every shard of the URL-seen set and the robots cache in one process:
+    each seen call splits its digest blob by owning shard here, so callers
+    send one RPC per batch."""
 
     def __init__(self, num_shards: int, capacity: int = 1 << 16):
         self.shards = [SeenShard(i, capacity) for i in range(num_shards)]
+        self.robots: RobotsCache | None = None  # set by load_robots
 
     def _split(self, blob: bytes):
         mat = np.frombuffer(blob, dtype=np.uint8).reshape(-1, KEY_LEN)
@@ -382,11 +394,22 @@ class SeenShardSet:
         assert len(per_shard_paths) == len(self.shards)
         return [s.restore_from(ps) for s, ps in zip(self.shards, per_shard_paths)]
 
+    def load_robots(self, robots_parquet_path: str | None) -> None:
+        self.robots = RobotsCache(robots_parquet_path)
+
+    def blocked_batch(self, urls: list[str]) -> np.ndarray:
+        return self.robots.blocked_batch(urls)
+
+    def stats(self) -> dict:
+        return self.robots.stats()
+
 
 def create_seen_shards(num_shards: int, capacity_hint: int = 1 << 16):
-    """One actor owning ``num_shards`` shards, as a list (the handle list
-    every ``seen_*`` helper takes)."""
-    return [SeenShardSet.remote(num_shards, capacity_hint)]
+    """The crawl's state actor, owning ``num_shards`` shards, as a list (the
+    handle list every ``seen_*`` helper and, once
+    ``robots.create_robots_actors`` has loaded its source, every robots
+    helper takes)."""
+    return [SeenShardsAndRobots.remote(num_shards, capacity_hint)]
 
 
 def seen_probe_new(shards, digests) -> np.ndarray:
