@@ -13,8 +13,10 @@ Runs the sf0.1-sized crawl three ways in ONE Ray session:
 and asserts the resumed ledger is hash-identical to the uninterrupted one
 (order-insensitive md5 over all rows of the key columns).
 
-    python scripts/kill_resume_check.py [--pages 300000] [--cpus 32]
+    python scripts/kill_resume_check.py [--pages 300000] [--cpus N]
                                         [--kill-waves 4]
+
+``--cpus`` defaults to the CPUs this process may run on.
 
 Prints one JSON line: {"pages":..., "kill_waves":..., "ledger_rows":...,
 "full_md5":..., "resumed_md5":..., "identical": true, "sec": {...}}.
@@ -59,7 +61,7 @@ def ledger_md5(out_dir: str) -> tuple[str, int]:
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--pages", type=int, default=300_000)
-    ap.add_argument("--cpus", type=int, default=32)
+    ap.add_argument("--cpus", type=int, default=len(os.sched_getaffinity(0)))
     ap.add_argument("--kill-waves", type=int, default=4)
     args = ap.parse_args()
 

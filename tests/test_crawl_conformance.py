@@ -147,6 +147,58 @@ class TestCrawlConformance:
         assert _stat_values(stats) == _stat_values(full)
         _assert_manifest_counts(part_out, stats)
 
+    def test_resume_from_single_file_frontier(self, tiny_corpus, tmp_path):
+        """A stopped crawl whose frontier is one ``part-0.parquet`` per wave
+        (the layout earlier versions of the driver path wrote) resumes to
+        the uninterrupted ledger."""
+        import os
+
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        import webcrawl_lowres_lang_ray.checkpoint as ckpt
+
+        full_out = str(tmp_path / "full")
+        run_crawl(tiny_corpus, full_out, CFG)
+        part_out = str(tmp_path / "part")
+        run_crawl(tiny_corpus, part_out, CFG.replace(max_waves=2))
+        fdir = ckpt.wave_dir(part_out, "frontier", 2)
+        files = sorted(os.path.join(fdir, f) for f in os.listdir(fdir))
+        assert len(files) > 1
+        merged = pa.concat_tables([pq.read_table(f) for f in files])
+        assert merged.num_rows > 0
+        for f in files:
+            os.remove(f)
+        pq.write_table(merged, os.path.join(fdir, "part-0.parquet"))
+        stats = run_crawl(tiny_corpus, part_out, CFG, resume=True)
+        assert stats.waves > 2
+        _assert_ledger_equal(load_ledger(part_out), load_ledger(full_out))
+
+    def test_crawl_switching_paths_matches_oracle(self, tiny_corpus, tmp_path, monkeypatch):
+        """A threshold inside the tiny corpus's range of per-wave pending
+        counts (8 to 19 at CFG) makes one crawl switch between the driver
+        and streamed paths several times; the ledger still equals the
+        oracle's bit for bit."""
+        import webcrawl_lowres_lang_ray.frontier as fr
+
+        streamed_waves = []
+        real = fr._run_wave_streamed
+
+        def counting(out_dir, pages_dir, wave, *a, **kw):
+            streamed_waves.append(wave)
+            return real(out_dir, pages_dir, wave, *a, **kw)
+
+        monkeypatch.setattr(fr, "DRIVER_PATH_MAX_ROWS", 10)
+        monkeypatch.setattr(fr, "_run_wave_streamed", counting)
+        stats = run_crawl(tiny_corpus, str(tmp_path / "out"), CFG)
+        driver_waves = sorted(set(range(stats.waves)) - set(streamed_waves))
+        # both paths ran, and each hands over to the other at least once
+        assert streamed_waves and driver_waves, (streamed_waves, stats.waves)
+        assert min(streamed_waves) < max(driver_waves)
+        assert min(driver_waves) < max(streamed_waves)
+        eng = load_ledger(str(tmp_path / "out")).sort_values("seq").reset_index(drop=True)
+        _assert_ledger_equal(eng, _oracle_df(tiny_corpus, CFG))
+
     @pytest.mark.parametrize("path", ["local", "fanout", "streamed"])
     def test_manifest_counters_equal_ledger_sums(
         self, tiny_corpus, tmp_path, monkeypatch, path

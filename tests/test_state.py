@@ -17,8 +17,9 @@ def _digest(i: int) -> bytes:
 
 
 def _probe_add(shards, keys) -> np.ndarray:
-    """The crawl's insertion protocol (frontier._insert_driver): a read-only
-    probe, then an add of exactly the keys it reported new."""
+    """The crawl's insertion protocol (frontier.insert_probe, then
+    frontier.insert_commit): a read-only probe, then an add of exactly the
+    keys it reported new."""
     from webcrawl_lowres_lang_ray.state.seen import seen_add, seen_probe_new
 
     new = seen_probe_new(shards, keys)
@@ -175,15 +176,19 @@ class TestPagedSeenStore:
         assert not _probe_add(fresh, keys).any()
         assert _probe_add(fresh, [_digest(9_999_999)]).all()
 
-    def test_budget_dropped_candidates_recrawlable(self):
+    def test_budget_dropped_candidates_recrawlable(self, tmp_path):
         """oracle.py:106-112 order: the max_pages budget drops a candidate
-        BEFORE seen-marking, so a raised-budget resume re-crawls it."""
+        BEFORE seen-marking, so a raised-budget resume re-crawls it.  Runs
+        the crawl's two insertion kernels as one partition, as seed
+        insertion and the driver-path wave do."""
         import pandas as pd
+        import pyarrow.parquet as pq
 
         from webcrawl_lowres_lang_ray.config import CrawlConfig
         from webcrawl_lowres_lang_ray.frontier import (
-            _insert_driver,
             _prepare_candidates,
+            insert_commit,
+            insert_probe,
         )
         from webcrawl_lowres_lang_ray.state.seen import create_seen_shards
 
@@ -198,13 +203,24 @@ class TestPagedSeenStore:
             }
         )
         shards = create_seen_shards(2)
+
+        def insert(cfg, base_seq, name):
+            new = insert_probe(_prepare_candidates(cand, cfg), shards)
+            seq = base_seq + np.arange(len(new), dtype=np.int64)
+            path = str(tmp_path / name)
+            n = insert_commit(new, seq, cfg.max_pages, path, shards)
+            rows = pq.read_table(path).to_pandas()
+            assert n == len(rows)
+            return rows
+
         cfg = CrawlConfig(max_pages=8, apply_robots=False)
-        first = _insert_driver(_prepare_candidates(cand, cfg), shards, 0, cfg)
+        first = insert(cfg, 0, "first.parquet")
         assert len(first) == 8
+        assert list(first["seq"]) == list(range(8))
         # resume with a raised budget: the 12 dropped rows were never
         # seen-marked, so they insert now; the 8 inserted ones stay deduped
         cfg2 = CrawlConfig(max_pages=0, apply_robots=False)
-        second = _insert_driver(_prepare_candidates(cand, cfg2), shards, 8, cfg2)
+        second = insert(cfg2, 8, "second.parquet")
         assert len(second) == 12
         assert set(second["url"]) == set(cand["url"]) - set(first["url"])
 
@@ -290,24 +306,50 @@ class TestPoliteness:
         hb.new_wave()
         assert hb.try_admit("a")
 
-    def test_matches_groupby_headk_semantics(self):
+    def test_matches_groupby_headk_semantics(self, tmp_path):
+        """The crawl's one admission kernel equals HostBudget fed the
+        (priority DESC, seq ASC) order, and routes every row: admitted
+        relative/robots rows to the norun ledger partition, the other
+        admitted rows back to the caller, the rest to the next frontier."""
         import pandas as pd
+        import pyarrow.parquet as pq
 
-        from webcrawl_lowres_lang_ray.frontier import _admit_driver
+        from webcrawl_lowres_lang_ray.frontier import admit_route
 
         rng = np.random.RandomState(7)
+        n = 500
         df = pd.DataFrame(
             {
-                "seq": np.arange(500),
-                "host": [f"h{rng.randint(10)}" for _ in range(500)],
-                "priority": np.int64(0),
+                "seq": np.arange(n, dtype=np.int64),
+                "url": [f"http://h/{i}" for i in range(n)],
+                "url_hash": "",
+                "canon_sha1": "",
+                "host": [f"h{rng.randint(10)}" for _ in range(n)],
+                "bucket": np.int32(0),
+                "query_id": np.int64(0),
+                "engine": "link",
+                "is_rel": rng.rand(n) < 0.1,
+                "robots_blocked": rng.rand(n) < 0.1,
+                "priority": rng.randint(0, 3, n).astype(np.int64),
             }
         )
         k = 3
-        marked = _admit_driver(df.sample(frac=1, random_state=1), k)
+        to_fetch = admit_route(
+            df.sample(frac=1, random_state=1), k, 5, 7, str(tmp_path), str(tmp_path)
+        )
+        deferred = pq.read_table(tmp_path / "deferred-p007.parquet").to_pandas()
+        norun = pq.read_table(tmp_path / "norun-p007.parquet").to_pandas()
+
+        order = df.sort_values(["priority", "seq"], ascending=[False, True])
         hb = HostBudget(k)
-        expect = hb.admit_order(list(zip(marked["seq"], marked["host"])))
-        assert list(marked["admit"]) == expect
+        expect = np.array(hb.admit_order(list(zip(order["seq"], order["host"]))))
+        admitted = order.loc[expect]
+        gated = (admitted["is_rel"] | admitted["robots_blocked"]).to_numpy()
+        assert list(to_fetch["seq"]) == list(admitted.loc[~gated, "seq"])
+        assert sorted(norun["seq"]) == sorted(admitted.loc[gated, "seq"])
+        assert (norun["wave"] == 5).all() and norun["handled"].all()
+        assert sorted(deferred["seq"]) == sorted(order.loc[~expect, "seq"])
+        assert 0 < len(norun) and 0 < len(deferred) and 0 < len(to_fetch)
 
 
 class TestMapGroupsBlockIntegrity:

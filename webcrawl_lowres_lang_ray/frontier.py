@@ -3,26 +3,37 @@
 Reproduces the oracle's semantics (oracle.py — itself the reference's
 num_threads=1 FIFO semantics) with Ray Data execution per wave:
 
-  frontier parquet (sorted spill)                        [checkpoint.py]
-    -> politeness admission   groupby(host) head-k by seq [state/politeness.py]
-    -> relative-URL skip + robots gate                    [state/robots.py, in
-                                                           the state actor]
+  frontier/wave=N parquet (sorted spill, read from disk)  [checkpoint.py]
+    -> admission: per-host head-k by (priority, seq);     [admit_route]
+       deferred rows -> frontier/wave=N+1, relative/robots
+       rows -> a norun ledger partition
     -> fetch = partitioned hash join vs the page table
        (pre-partitioned by HOST-hash bucket — the crawl's
-       single partitioning key); bucket groups LPT-bin-
-       packed into ~4x cluster-CPU tasks                   [_wave_task]
+       single partitioning key)                            [_wave_task]
     -> doc-type dispatch (M5) + extract + clean + score   [one fused Arrow
-       + link-extract                                      stage, model
-                                                           cached per worker]
-    -> ledger partition write  ledger/wave=N/ (per bucket)
+       + link-extract; ledger/wave=N/ write per bucket     stage]
     -> candidate prep: excluded-domain filter, hashes,     [per-wave-task
        relative/robots gates (one robots RPC per task)      prep]
-    -> candidate insertion: within-wave dedup
-       (first occurrence by (parent_seq, link_idx)), seen probe
-       (the one state actor owns every cuckoo-filter shard
-       and the robots cache),
-       deterministic global seq assignment                 [_insert_*]
-    -> next frontier partition + manifest + seen snapshots
+    -> insertion: within-wave dedup (first occurrence by   [insert_probe]
+       (parent_seq, link_idx)) + read-only seen probe;
+       then global seq, max_pages cut, next-frontier       [insert_commit]
+       partition write, seen_add of the written rows
+    -> manifest + seen snapshots
+
+Every wave (and seed insertion) runs these same kernels; the two size
+switches choose only the executor.  At most ``DRIVER_PATH_MAX_ROWS``
+pending rows (summed from the frontier's Parquet footers), the driver runs
+admission and insertion as ONE partition (seq = base + arange), and
+fetch/score as one local task for at most ``SMALL_WAVE_MAX_ROWS`` rows,
+else as raw Ray tasks over LPT-packed bucket blocks — a cluster fan-out
+for a tail wave costs more than the work.  Above it the wave runs FULLY
+STREAMED (_run_wave_streamed): admission once per host partition, the
+fused stage over zero-copy Arrow batches, insertion once per digest
+partition with a rank-offset histogram for the seqs.  Driver traffic per
+streamed wave: that O(rank-buckets) histogram, per-partition counts and
+Parquet footers — never a frontier frame (tests/test_crawl_conformance.py
+pins this with a to_pandas row cap, and pins bit-for-bit ledger equality
+across the paths, including a crawl that switches between them).
 
 Determinism: execution order inside a wave is free (preserve_order=False);
 logical order is restored by explicit sort keys — admission by ``seq``,
@@ -30,17 +41,6 @@ insertion rank by ``(parent_seq, link_idx)`` — so the ledger equals the
 single-threaded oracle's bit-for-bit (tests/test_crawl_conformance.py).
 
 Scale notes (the 100 TB story):
-* Above ``DRIVER_PATH_MAX_ROWS`` pending rows a wave runs FULLY STREAMED
-  (_run_wave_streamed): the frontier is read as a Dataset, admission
-  partitions write deferred rows and norun ledger rows straight to their
-  next-wave partition files, the fused fetch/score stage consumes zero-copy
-  Arrow batches, and insertion's rank tasks write the new frontier
-  partitions themselves.  Driver traffic per wave: the O(rank-buckets) seq
-  histogram, per-partition counts, and Parquet footers — never a frontier
-  frame (tests/test_crawl_conformance.py pins this with a to_pandas row cap
-  and asserts bit-for-bit ledger equality with the driver fast path, which
-  small waves still take because a cluster fan-out costs more than the
-  work).
 * The page-table side of fetch is only ever read one host-hash bucket at a
   time, and inside it only the url-sorted row groups whose footer
   statistics can hold the requested URLs (sources/fetch.py) — no stage
@@ -48,8 +48,7 @@ Scale notes (the 100 TB story):
 * html bytes flow fetch->score inside one streaming execution as Arrow
   binary columns (never pandas object columns) and are dropped before any
   write; the ledger keeps text, hashes and metrics only.
-* Admission orders by (priority DESC, seq ASC) — the priority-frontier
-  hook; all-default priorities degrade to exact reference FIFO parity.
+* All-default priorities degrade to exact reference FIFO parity.
 * Seen-set checkpoints are written by the state actor itself, one delta
   file per shard (snapshot_to), so 10^10-key snapshots never route through
   the driver.
@@ -93,7 +92,8 @@ from .state.seen import (
     snapshot_all_to,
 )
 
-# switch to the distributed admission/insertion path above this many rows
+# above this many pending rows a wave runs streamed: the frontier never
+# becomes a driver frame (same kernels, other executor)
 DRIVER_PATH_MAX_ROWS = 200_000
 # politeness-bound tail waves (a few URLs per hot host) run locally with the
 # SAME kernels — paying a cluster fan-out for <~a hundred rows costs more
@@ -102,7 +102,7 @@ DRIVER_PATH_MAX_ROWS = 200_000
 SMALL_WAVE_MAX_ROWS = 128
 _RANK_BUCKET = 256
 
-FRONTIER_FIELDS = [
+FRONTIER_SCHEMA = pa.schema([
     ("seq", pa.int64()),
     ("url", pa.string()),
     ("url_hash", pa.string()),
@@ -116,8 +116,7 @@ FRONTIER_FIELDS = [
     # priority frontier hook (north star): admission orders by
     # (priority DESC, seq ASC); default 0 everywhere == reference FIFO parity
     ("priority", pa.int64()),
-]
-FRONTIER_SCHEMA = pa.schema(FRONTIER_FIELDS)
+])
 
 LEDGER_META_COLS = [
     "seq", "url", "url_hash", "canon_sha1", "host", "query_id", "engine",
@@ -159,6 +158,12 @@ def _write_ledger_part(tbl: pa.Table, path: str) -> None:
     counts = {k: int(pc.sum(tbl.column(c)).as_py() or 0) for k, c in LEDGER_COUNTERS.items()}
     meta = {**(tbl.schema.metadata or {}), _LEDGER_COUNTS_KEY: json.dumps(counts).encode()}
     pq.write_table(tbl.replace_schema_metadata(meta), path)
+
+
+def _write_frontier_part(df: pd.DataFrame, path: str) -> None:
+    pq.write_table(
+        pa.Table.from_pandas(df[FRONTIER_SCHEMA.names], schema=FRONTIER_SCHEMA, preserve_index=False), path
+    )
 
 
 def _wave_counts(ledger_dir: str) -> dict[str, int]:
@@ -214,12 +219,30 @@ def _get_model(lexicon_ref, cfg: CrawlConfig) -> LangScoringModel:
 # per-wave stages
 # ---------------------------------------------------------------------------
 
-def _admit_driver(df: pd.DataFrame, k: int) -> pd.DataFrame:
-    df = df.sort_values(
+def admit_route(
+    frontier: pd.DataFrame, k: int, wave: int, part: int, next_frontier: str, ledger_dir: str
+) -> pd.DataFrame:
+    """Admission over one frontier partition: politeness mark, then route —
+    deferred rows to ``next_frontier/deferred-pNNN.parquet``, relative/robots
+    rows to ``ledger_dir/norun-pNNN.parquet``, to-fetch rows back to the
+    caller.  Every row of a host must be in this partition, so the per-host
+    budget is exact.  Deterministic file names make a re-run idempotent."""
+    g = frontier.sort_values(
         ["priority", "seq"], ascending=[False, True], kind="mergesort"
-    ).reset_index(drop=True)
-    df["admit"] = df.groupby("host").cumcount() < k
-    return df
+    )
+    admit = (g.groupby("host").cumcount() < k).to_numpy(bool)
+    _write_frontier_part(g.loc[~admit], os.path.join(next_frontier, f"deferred-p{part:03d}.parquet"))
+    adm = g.loc[admit]
+    rel = adm["is_rel"].to_numpy(bool)
+    rob = adm["robots_blocked"].to_numpy(bool)
+    norun = rel | rob
+    if norun.any():
+        rows = _norun_ledger_rows(adm.loc[norun], wave, rel[norun], rob[norun])
+        _write_ledger_part(
+            pa.Table.from_pandas(rows, preserve_index=False),
+            os.path.join(ledger_dir, f"norun-p{part:03d}.parquet"),
+        )
+    return adm.loc[~norun]
 
 
 def _wave_task(pages_dir: str, lexicon_ref, cfg: CrawlConfig, wave: int, ledger_dir: str, robots_actors=None, fetcher=None):
@@ -230,12 +253,14 @@ def _wave_task(pages_dir: str, lexicon_ref, cfg: CrawlConfig, wave: int, ledger_
     every bucket once and prepare them as one candidate frame (excluded
     filter, canon/sha1/md5/host/bucket, one robots RPC).
 
-    Arrow-native: the batch flows in as a zero-copy pyarrow Table
-    (``batch_format="pyarrow"`` at both call sites), the page-table html
-    bytes go straight from the Parquet read into the scorer, and the ledger
-    partition is written as an Arrow table — the wide binary/text payloads
-    never pass through pandas object columns.  Only the small prepared
-    candidate rows (urls + hashes + ints) come out as a DataFrame.
+    Arrow-native: the streamed path hands the batch in as a zero-copy
+    pyarrow Table (``batch_format="pyarrow"``); the local and raw-task
+    paths hand in the admitted pandas rows (slim frontier columns), which
+    are converted once.  The page-table html bytes go straight from the
+    Parquet read into the scorer, and the ledger partition is written as an
+    Arrow table — the wide binary/text payloads never pass through pandas
+    object columns.  Only the small prepared candidate rows (urls + hashes
+    + ints) come out as a DataFrame.
 
     Fusing the chain keeps each wave at a single Ray Data execution and a
     single driver pull of *prepared candidate* rows, which is what makes the
@@ -345,10 +370,8 @@ def _wave_task(pages_dir: str, lexicon_ref, cfg: CrawlConfig, wave: int, ledger_
         return links
 
     def fn(batch) -> pd.DataFrame:
-        if isinstance(batch, pd.DataFrame):  # driver local fast path
+        if isinstance(batch, pd.DataFrame):  # local and raw-task paths
             batch = pa.Table.from_pandas(batch, preserve_index=False)
-        if "fetch_part" in batch.column_names:  # streamed-path partition tag
-            batch = batch.drop_columns(["fetch_part"])
         if batch.num_rows == 0:
             return _empty_candidates_df()
         buckets = batch.column("bucket").to_numpy()
@@ -422,6 +445,15 @@ def _norun_ledger_rows(df: pd.DataFrame, wave: int, relative: np.ndarray, robots
     return out[LEDGER_META_COLS]
 
 
+def pending_ledger_rows(pending: pd.DataFrame) -> pd.DataFrame:
+    """Still-pending frontier rows as ledger rows: wave=-1 and every flag
+    false, matching the oracle's ledger of inserted-but-never-run rows."""
+    zeros = np.zeros(len(pending), dtype=bool)
+    rows = _norun_ledger_rows(pending, -1, zeros, zeros)
+    rows["handled"] = False
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # candidate insertion (excluded filter -> dedup -> seen -> seq assignment)
 # ---------------------------------------------------------------------------
@@ -462,30 +494,47 @@ def _prepare_candidates(
     return df
 
 
-def _insert_driver(
-    cand: pd.DataFrame, seen_shards, base_seq: int, cfg: CrawlConfig
-) -> pd.DataFrame:
-    """Driver insertion path: dedup + seen-probe + seq over PREPARED
-    candidates (columns of _empty_candidates_df; prep happens inside the
-    distributed wave task).
-
-    Seen-marking happens AFTER the ``max_pages`` budget, matching the
-    oracle's order (oracle.py:106-112: budget return precedes seen.add) —
-    a budget-dropped candidate is re-crawlable on a raised-budget resume."""
-    if len(cand) == 0:
-        return _empty_frontier_df()
-    # within-wave dedup: first occurrence by (ord1, ord2)
+def insert_probe(cand: pd.DataFrame, seen_shards) -> pd.DataFrame:
+    """Insertion, first half, over PREPARED candidates (columns of
+    _empty_candidates_df; prep happens inside the wave task): within-wave
+    dedup — first occurrence by (ord1, ord2) — then one READ-ONLY seen
+    probe.  Returns the new rows in (ord1, ord2) order.  A Ray task retry
+    re-probes and gets the same verdicts: no state is mutated here."""
     cand = cand.sort_values(["ord1", "ord2"], kind="mergesort")
     cand = cand.drop_duplicates(subset=["canon_sha1"], keep="first")
-    new_mask = seen_probe_new(seen_shards, hex_to_digests(cand["canon_sha1"].to_numpy()))
-    cand = cand.loc[new_mask]
-    cand = cand.reset_index(drop=True)
-    cand["seq"] = base_seq + np.arange(len(cand), dtype=np.int64)
-    if cfg.max_pages:  # global insertion budget: only seqs < max_pages exist
-        cand = cand.loc[cand["seq"] < cfg.max_pages]
-    if len(cand):
-        seen_add(seen_shards, hex_to_digests(cand["canon_sha1"].to_numpy()))
-    return cand[[n for n, _ in FRONTIER_FIELDS]]
+    if len(cand) == 0:
+        return cand
+    return cand.loc[seen_probe_new(seen_shards, hex_to_digests(cand["canon_sha1"].to_numpy()))]
+
+
+def insert_commit(new: pd.DataFrame, seq: np.ndarray, max_pages: int, path: str, seen_shards) -> int:
+    """Insertion, second half: give ``new`` its global ``seq``, cut at the
+    ``max_pages`` budget, write the survivors as the next-frontier partition
+    ``path``, then seen-mark exactly those rows.  Returns their count.
+
+    Seen-marking happens AFTER the budget, matching the oracle's order
+    (oracle.py:106-112: budget return precedes seen.add) — a budget-dropped
+    candidate is re-crawlable on a raised-budget resume.  The retry-safe
+    half of the probe/add split: the file rewrite is deterministic and
+    add_blob is an idempotent set union, so a retried task cannot corrupt
+    state."""
+    new = new.assign(seq=seq)
+    if max_pages:  # global insertion budget: only seqs < max_pages exist
+        new = new.loc[new["seq"] < max_pages]
+    _write_frontier_part(new, path)
+    if len(new):
+        seen_add(seen_shards, hex_to_digests(new["canon_sha1"].to_numpy()))
+    return len(new)
+
+
+def _insert_one_part(cand: pd.DataFrame, seen_shards, base_seq: int, cfg: CrawlConfig, frontier_dir: str) -> int:
+    """Both insertion halves over one partition (seed insertion and the
+    driver-path wave): seqs are ``base_seq`` + rank in (ord1, ord2) order."""
+    new = insert_probe(cand, seen_shards)
+    return insert_commit(
+        new, base_seq + np.arange(len(new), dtype=np.int64), cfg.max_pages,
+        os.path.join(frontier_dir, "insert-p000.parquet"), seen_shards,
+    )
 
 
 def _insert_streamed(
@@ -494,20 +543,18 @@ def _insert_streamed(
     base_seq: int,
     cfg: CrawlConfig,
     write_dir: str,
-    sections: dict | None = None,
+    sections: dict,
 ) -> int:
     """Distributed insertion over PREPARED candidates, one shuffle: candidates
-    are partitioned by a digest key, and each partition task then runs the
-    whole chain vectorized — within-wave first-occurrence dedup (via
-    hash-partitioned drop_duplicates, NOT groupby(key).map_groups — per-group
-    dispatch at 10^5+ distinct urls costs ~ms each), one READ-ONLY seen
-    probe RPC per partition, and the rank columns for seq assignment.
+    are partitioned by a digest key (hash-partitioned, NOT
+    groupby(key).map_groups — per-group dispatch at 10^5+ distinct urls
+    costs ~ms each), and each partition task runs ``insert_probe`` (one
+    READ-ONLY seen probe RPC per partition) and adds the rank columns.
 
-    The surviving rows are written as next-frontier partition files
-    (``insert-pNNN.parquet``, deterministic names => idempotent re-run)
-    directly by the rank tasks — the new frontier rows never visit the
-    driver; only the O(rank-buckets) histogram does.  Returns the number
-    of rows inserted (after the ``max_pages`` seq budget, if set)."""
+    A per-batch rank-bucket histogram gives each rank partition its seq
+    offsets, and the rank tasks run ``insert_commit`` — the new frontier
+    rows never visit the driver; only the O(rank-buckets) histogram does.
+    Returns the number of rows inserted."""
 
     def add_part(b: pd.DataFrame) -> pd.DataFrame:
         if len(b) == 0:
@@ -522,21 +569,8 @@ def _insert_streamed(
         return b
 
     def dedup_probe_rank(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ord1", "ord2"], kind="mergesort")
-        g = g.drop_duplicates("canon_sha1", keep="first").drop(
-            columns=["dedup_part"]
-        )
-        # READ-ONLY probe: a Ray task retry re-probes and gets the same
-        # verdicts (no state mutated from a retryable task).  Keys register
-        # later, in assign_write, only for rows that actually insert — which
-        # also matches the oracle's max_pages order (budget before seen.add).
-        new = seen_probe_new(seen_shards, hex_to_digests(g["canon_sha1"].to_numpy()))
-        g = g.loc[new]
-        if len(g) == 0:
-            return g.assign(
-                rank_bucket=pd.Series(dtype="int64"),
-                rank_part=pd.Series(dtype="int64"),
-            )
+        # keys register later, in assign_write, only for rows that insert
+        g = insert_probe(g.drop(columns=["dedup_part"]), seen_shards)
         g = g.assign(rank_bucket=(g["ord1"] // _RANK_BUCKET).astype(np.int64))
         # all rows of one rank_bucket land in one partition (the pattern:
         # 64 group dispatches total, vectorized pandas inside — NOT one
@@ -553,8 +587,7 @@ def _insert_streamed(
         .map_groups(dedup_probe_rank, batch_format="pandas")
         .materialize()
     )
-    if sections is not None:
-        sections["exec_main"] = round(time.time() - t0, 3)
+    sections["exec_main"] = round(time.time() - t0, 3)
     t0 = time.time()
 
     # pass 1: per-batch rank-bucket histograms -> tiny driver merge -> prefix
@@ -565,8 +598,7 @@ def _insert_streamed(
                              "n": vc.to_numpy(np.int64)})
 
     hist = survivors.map_batches(hist_partial, batch_format="pandas").to_pandas()
-    if sections is not None:
-        sections["exec_hist"] = round(time.time() - t0, 3)
+    sections["exec_hist"] = round(time.time() - t0, 3)
     if len(hist) == 0:  # every candidate excluded / duplicate / already seen
         return 0
     hist = hist.groupby("rank_bucket")["n"].sum().sort_index()
@@ -585,21 +617,11 @@ def _insert_streamed(
         seq = np.concatenate(
             [offs[int(rb)] + np.arange(c, dtype=np.int64) for rb, c in counts.items()]
         ) if len(counts) else np.empty(0, dtype=np.int64)
-        g["seq"] = base_seq + seq
-        if max_pages:
-            g = g.loc[g["seq"] < max_pages]
-        out = g[[n for n, _ in FRONTIER_FIELDS]]
-        pq.write_table(
-            pa.Table.from_pandas(out, schema=FRONTIER_SCHEMA, preserve_index=False),
-            os.path.join(write_dir, f"insert-p{part:03d}.parquet"),
+        n = insert_commit(
+            g, base_seq + seq, max_pages,
+            os.path.join(write_dir, f"insert-p{part:03d}.parquet"), seen_shards,
         )
-        if len(out):
-            # register ONLY rows that actually inserted (post-budget) — the
-            # retry-safe half of the probe/add split: add_blob is an
-            # idempotent set union, and the file rewrite above is
-            # deterministic, so a retried task cannot corrupt state.
-            seen_add(seen_shards, hex_to_digests(out["canon_sha1"].to_numpy()))
-        return pd.DataFrame({"n": [np.int64(len(out))]})
+        return pd.DataFrame({"n": [np.int64(n)]})
 
     t0 = time.time()
     ns = (
@@ -607,22 +629,8 @@ def _insert_streamed(
         .map_groups(assign_write, batch_format="pandas")
         .to_pandas()
     )
-    if sections is not None:
-        sections["exec_assign"] = round(time.time() - t0, 3)
+    sections["exec_assign"] = round(time.time() - t0, 3)
     return int(ns["n"].sum()) if len(ns) else 0
-
-
-def _empty_frontier_df() -> pd.DataFrame:
-    def dt(t):
-        if t == pa.string():
-            return "object"
-        if t == pa.int32():
-            return "int32"
-        if t == pa.bool_():
-            return "bool"
-        return "int64"
-
-    return pd.DataFrame({name: pd.Series(dtype=dt(t)) for name, t in FRONTIER_FIELDS})
 
 
 def _clear_dir(path_dir: str) -> None:
@@ -634,12 +642,6 @@ def _clear_dir(path_dir: str) -> None:
     os.makedirs(path_dir, exist_ok=True)
 
 
-def _write_frontier(df: pd.DataFrame, path_dir: str) -> None:
-    _clear_dir(path_dir)
-    tbl = pa.Table.from_pandas(df[ [n for n,_ in FRONTIER_FIELDS] ], schema=FRONTIER_SCHEMA, preserve_index=False)
-    pq.write_table(tbl, os.path.join(path_dir, "part-0.parquet"))
-
-
 def _frontier_row_count(path_dir: str) -> int:
     """Pending size from Parquet footers only — no row data read."""
     n = 0
@@ -649,19 +651,8 @@ def _frontier_row_count(path_dir: str) -> int:
     return n
 
 
-def _from_pandas_chunked(df: pd.DataFrame, nchunks: int = 64) -> "ray.data.Dataset":
-    """from_pandas of one frame yields ONE block (downstream runs on one
-    core) — chunk first."""
-    if len(df) == 0:
-        return ray.data.from_pandas([df])
-    parts = np.array_split(np.arange(len(df)), min(nchunks, len(df)))
-    return ray.data.from_pandas(
-        [df.iloc[ix].reset_index(drop=True) for ix in parts if len(ix)]
-    )
-
-
 # ---------------------------------------------------------------------------
-# the fully-streamed wave (pending frontier never on the driver)
+# the two wave executors: the same kernels on a driver frame or streamed
 # ---------------------------------------------------------------------------
 
 _SHUFFLE_PARTS = 64
@@ -681,6 +672,80 @@ def _apply_wave_block(fn, blk: pd.DataFrame) -> pd.DataFrame:
     return fn(blk)
 
 
+def _run_wave_driver(
+    out_dir: str,
+    pages_dir: str,
+    wave: int,
+    cfg: CrawlConfig,
+    lexicon_ref,
+    seen_shards,
+    robots_actors,
+    next_seq: int,
+    sections: dict,
+    fetcher=None,
+) -> int:
+    """One politeness wave with the frontier as a driver frame: admission
+    and insertion run as ONE partition; fetch/score runs as one local wave
+    task or as raw Ray tasks over LPT-packed bucket blocks.  Returns the
+    number of rows inserted."""
+    t_sec = time.time()
+    next_frontier = ckpt.wave_dir(out_dir, "frontier", wave + 1)
+    ledger_dir = ckpt.wave_dir(out_dir, "ledger", wave)
+    to_fetch = admit_route(
+        _read_frontier(ckpt.wave_dir(out_dir, "frontier", wave)),
+        cfg.per_host_per_wave, wave, 0, next_frontier, ledger_dir,
+    )
+    sections["admit"] = round(time.time() - t_sec, 3)
+    t_sec = time.time()
+    # fetch -> extract -> score -> ledger write -> links: ONE fused task
+    # (_wave_task) per packed block of buckets; per bucket it reads exactly
+    # one page-table bucket file (partitioned hash join, no sort shuffle)
+    # and writes its own ledger partition, then returns the block's
+    # candidates from one per-wave-task prep.
+    wave_fn = _wave_task(pages_dir, lexicon_ref, cfg, wave, ledger_dir, robots_actors, fetcher=fetcher)
+    if len(to_fetch) <= SMALL_WAVE_MAX_ROWS:
+        # local fast path: same kernel, no cluster fan-out, the whole wave
+        # as one task
+        cand_df = wave_fn(to_fetch)
+    else:
+        # task granularity is decoupled from the bucket count: bucket groups
+        # are LPT-bin-packed into ~4x cluster CPUs blocks (a task handles
+        # several buckets, still reading one bucket file each), emitted
+        # largest-first so the wave barrier isn't stretched by a big block
+        # landing last.  Hundreds of tiny tasks would serialize on driver
+        # dispatch; a handful of huge ones would straggle.
+        groups = [
+            g.reset_index(drop=True) for _, g in to_fetch.groupby("bucket", sort=True)
+        ]
+        cpus = int(ray.cluster_resources().get("CPU", 8))
+        nbins = max(8, min(_LPT_TASKS_PER_CPU * cpus, len(groups)))
+        bins: list[list[pd.DataFrame]] = [[] for _ in range(nbins)]
+        sizes = np.zeros(nbins, dtype=np.int64)
+        for g in sorted(groups, key=len, reverse=True):
+            i = int(sizes.argmin())
+            bins[i].append(g)
+            sizes[i] += len(g)
+        order = np.argsort(-sizes)
+        blocks = [pd.concat(bins[i], ignore_index=True) for i in order if bins[i]]
+        sections["fs_pack"] = round(time.time() - t_sec, 3)
+        t_fs = time.time()
+        # raw-task scatter/gather: the blocks are already packed and sit on
+        # the driver, and the wave is a fixed barrier — the shape a Dataset
+        # adds nothing to but ~0.2 s of streaming-executor spin-up per
+        # execution.  Gathering in submission order keeps the candidate
+        # frame's order deterministic.
+        fn_ref = ray.put(wave_fn)  # serialize the closure once per wave
+        parts = ray.get([_apply_wave_block.remote(fn_ref, b) for b in blocks])
+        sections["fs_exec"] = round(time.time() - t_fs, 3)
+        parts = [p for p in parts if len(p)]
+        cand_df = pd.concat(parts, ignore_index=True) if parts else _empty_candidates_df()
+    sections["fetch_score"] = round(time.time() - t_sec, 3)
+    t_sec = time.time()
+    inserted = _insert_one_part(cand_df, seen_shards, next_seq, cfg, next_frontier)
+    sections["insert"] = round(time.time() - t_sec, 3)
+    return inserted
+
+
 def _run_wave_streamed(
     out_dir: str,
     pages_dir: str,
@@ -690,30 +755,24 @@ def _run_wave_streamed(
     seen_shards,
     robots_actors,
     next_seq: int,
-    sections: dict | None = None,
+    sections: dict,
     fetcher=None,
-) -> tuple[int, int]:
+) -> int:
     """One politeness wave as Datasets end-to-end.  The driver never holds a
     frontier frame: admission partitions route deferred rows and norun ledger
     rows straight to their next-wave partition files, to-fetch rows flow into
     the fused fetch/score/ledger-write stage, and insertion writes the new
     frontier rows from its rank tasks.  Driver traffic per wave: the
     O(rank-buckets) seq histogram, per-partition row counts, Parquet footer
-    reads.  Returns (inserted, pending_next).
+    reads.  Returns the number of rows inserted.
 
     ONE shuffle feeds admission AND fetch: the admission partition key is the
     host-hash page bucket (every URL of a host shares a bucket — per-host
     politeness stays exact), so admit_route's output is already page-bucket-
     aligned and flows straight into the fused fetch/score stage as zero-copy
     Arrow with no second exchange."""
-    frontier_path = ckpt.wave_dir(out_dir, "frontier", wave)
     next_frontier = ckpt.wave_dir(out_dir, "frontier", wave + 1)
     ledger_dir = ckpt.wave_dir(out_dir, "ledger", wave)
-    _clear_dir(next_frontier)
-    _clear_dir(ledger_dir)
-
-    k = cfg.per_host_per_wave
-    fields = [n for n, _ in FRONTIER_FIELDS]
     cpus = int(ray.cluster_resources().get("CPU", 8))
     nparts = max(_SHUFFLE_PARTS, min(4 * cpus, cfg.num_url_buckets))
     # frontier rows are slim (~150 B) but each to-fetch row costs ~ms of
@@ -733,42 +792,19 @@ def _run_wave_streamed(
         ).astype(np.int64)
         return b
 
-    def admit_route(g: pd.DataFrame) -> pd.DataFrame:
-        """Per host-partition: politeness mark, then route — deferred rows to
-        the next frontier partition, relative/robots rows to a norun ledger
-        partition, to-fetch rows downstream.  All hosts of a row live in this
-        partition, so the per-host budget is exact."""
-        part = int(g["admit_part"].iloc[0])
-        g = g.drop(columns=["admit_part"]).sort_values(
-            ["priority", "seq"], ascending=[False, True], kind="mergesort"
+    def admit_part(g: pd.DataFrame) -> pd.DataFrame:
+        return admit_route(
+            g.drop(columns=["admit_part"]), cfg.per_host_per_wave, wave,
+            int(g["admit_part"].iloc[0]), next_frontier, ledger_dir,
         )
-        admit = (g.groupby("host").cumcount() < k).to_numpy(bool)
-        deferred = g.loc[~admit]
-        pq.write_table(
-            pa.Table.from_pandas(
-                deferred[fields], schema=FRONTIER_SCHEMA, preserve_index=False
-            ),
-            os.path.join(next_frontier, f"deferred-p{part:03d}.parquet"),
-        )
-        adm = g.loc[admit]
-        rel = adm["is_rel"].to_numpy(bool)
-        rob = adm["robots_blocked"].to_numpy(bool)
-        norun = rel | rob
-        if norun.any():
-            rows = _norun_ledger_rows(adm.loc[norun], wave, rel[norun], rob[norun])
-            _write_ledger_part(
-                pa.Table.from_pandas(rows, preserve_index=False),
-                os.path.join(ledger_dir, f"norun-p{part:03d}.parquet"),
-            )
-        return adm.loc[~norun]
 
     wave_fn = _wave_task(pages_dir, lexicon_ref, cfg, wave, ledger_dir, robots_actors, fetcher=fetcher)
 
     candidates = (
-        ray.data.read_parquet(frontier_path)
+        ray.data.read_parquet(ckpt.wave_dir(out_dir, "frontier", wave))
         .map_batches(add_admit_part, batch_format="pandas")
         .groupby("admit_part")
-        .map_groups(admit_route, batch_format="pandas")
+        .map_groups(admit_part, batch_format="pandas")
         # admission output is already bucket-aligned (admit_part = bucket %
         # nparts): the fused fetch/score stage consumes it block-by-block as
         # zero-copy Arrow, slicing per exact bucket inside the task — no
@@ -776,12 +812,9 @@ def _run_wave_streamed(
         .map_batches(wave_fn, batch_format="pyarrow", batch_size=None)
     )
     try:
-        inserted = _insert_streamed(
-            candidates, seen_shards, next_seq, cfg, next_frontier, sections
-        )
+        return _insert_streamed(candidates, seen_shards, next_seq, cfg, next_frontier, sections)
     finally:
         ctx.target_max_block_size = prev_max_block
-    return inserted, _frontier_row_count(next_frontier)
 
 
 # ---------------------------------------------------------------------------
@@ -824,8 +857,6 @@ def run_crawl(
         restore_all_from(
             seen_shards, ckpt.seen_delta_paths(out_dir, wave, cfg.num_seen_shards)
         )
-        pending_df = None  # read lazily if the wave takes the driver path
-        pending_count = _frontier_row_count(ckpt.wave_dir(out_dir, "frontier", wave))
     else:
         ckpt.clear_output(out_dir)
         wave = 0
@@ -849,142 +880,31 @@ def run_crawl(
             if "priority" in seeds.columns
             else np.int64(0)
         )
-        pending_df = _insert_driver(
-            _prepare_candidates(cand, cfg, robots_actors), seen_shards, 0, cfg
+        frontier0 = ckpt.wave_dir(out_dir, "frontier", 0)
+        _clear_dir(frontier0)
+        next_seq = stats.inserted = _insert_one_part(
+            _prepare_candidates(cand, cfg, robots_actors), seen_shards, 0, cfg, frontier0
         )
-        next_seq = int(len(pending_df))
-        stats.inserted = next_seq
-        pending_count = next_seq
-        _write_frontier(pending_df, ckpt.wave_dir(out_dir, "frontier", 0))
+    # every wave reads its frontier from disk; its size comes from footers
+    pending_count = _frontier_row_count(ckpt.wave_dir(out_dir, "frontier", wave))
 
     while pending_count > 0 and wave < cfg.max_waves:
         wave_t0 = time.time()
         sec = {}  # per-section timing -> manifest (scaling diagnostics)
-
-        if pending_count > DRIVER_PATH_MAX_ROWS:
-            # ---- fully-streamed wave: frontier never becomes a driver frame
-            pending_df = None
-            inserted, pending_next = _run_wave_streamed(
-                out_dir, pages_dir, wave, cfg, lexicon_ref, seen_shards,
-                robots_actors, next_seq, sections=sec, fetcher=fetcher,
-            )
-            admitted_n = pending_count - (pending_next - inserted)
-            next_seq += inserted
-            stats.inserted += inserted
-            pending_count = pending_next
-            sec["streamed_wave"] = round(time.time() - wave_t0, 3)
-        else:
-            # ---- driver fast path (small wave): same kernels, driver frame
-            if pending_df is None:
-                pending_df = _read_frontier(ckpt.wave_dir(out_dir, "frontier", wave))
-            # 1. politeness admission ((priority, seq) order, per-host budget)
-            marked = _admit_driver(pending_df, cfg.per_host_per_wave)
-            admitted = marked.loc[marked["admit"]].drop(columns=["admit"])
-            deferred = marked.loc[~marked["admit"]].drop(columns=["admit"])
-            admitted_n = int(len(admitted))
-            sec["admit"] = round(time.time() - wave_t0, 3)
-
-            # 2. relative / robots gates (precomputed at candidate prep,
-            # inside the distributed wave task — here just column reads)
-            t_sec = time.time()
-            rel_mask = admitted["is_rel"].to_numpy(dtype=bool)
-            rob_mask = admitted["robots_blocked"].to_numpy(dtype=bool)
-            norun_mask = rel_mask | rob_mask
-            norun = admitted.loc[norun_mask]
-            to_fetch = admitted.loc[~norun_mask]
-
-            ledger_dir = ckpt.wave_dir(out_dir, "ledger", wave)
-            _clear_dir(ledger_dir)
-            if len(norun):
-                norun_rows = _norun_ledger_rows(
-                    norun, wave, rel_mask[norun_mask], rob_mask[norun_mask]
-                )
-                _write_ledger_part(
-                    pa.Table.from_pandas(norun_rows, preserve_index=False),
-                    os.path.join(ledger_dir, "norun.parquet"),
-                )
-
-            sec["gates"] = round(time.time() - t_sec, 3)
-            t_sec = time.time()
-            # 3. fetch -> extract -> score -> ledger write -> links: ONE fused
-            # task (_wave_task) per packed block of buckets; per bucket it
-            # reads exactly one page-table bucket file (partitioned hash
-            # join, no sort shuffle) and writes its own ledger partition,
-            # then returns the block's candidates from one per-wave-task prep.
-            cand_df = _empty_candidates_df()
-            wave_fn = _wave_task(pages_dir, lexicon_ref, cfg, wave, ledger_dir, robots_actors, fetcher=fetcher)
-            if len(to_fetch) and len(to_fetch) <= SMALL_WAVE_MAX_ROWS:
-                # local fast path: same kernel, no cluster fan-out, the whole
-                # wave as one task
-                cand_df = wave_fn(to_fetch)
-            elif len(to_fetch):
-                # task granularity is decoupled from the bucket count: bucket
-                # groups are LPT-bin-packed into ~4x cluster CPUs blocks (a
-                # task handles several buckets, still reading one bucket file
-                # each), emitted largest-first so the wave barrier isn't
-                # stretched by a big block landing last.  Hundreds of tiny
-                # tasks would serialize on driver dispatch; a handful of huge
-                # ones would straggle.
-                groups = [
-                    g.reset_index(drop=True)
-                    for _, g in to_fetch.groupby("bucket", sort=True)
-                ]
-                cpus = int(ray.cluster_resources().get("CPU", 8))
-                nbins = max(8, min(_LPT_TASKS_PER_CPU * cpus, len(groups)))
-                bins: list[list[pd.DataFrame]] = [[] for _ in range(nbins)]
-                sizes = np.zeros(nbins, dtype=np.int64)
-                for g in sorted(groups, key=len, reverse=True):
-                    i = int(sizes.argmin())
-                    bins[i].append(g)
-                    sizes[i] += len(g)
-                order = np.argsort(-sizes)
-                blocks = [
-                    pd.concat(bins[i], ignore_index=True) for i in order if bins[i]
-                ]
-                sec["fs_pack"] = round(time.time() - t_sec, 3)
-                t_fs = time.time()
-                # raw-task scatter/gather: the blocks are already packed and
-                # sit on the driver, and the wave is a fixed barrier — the
-                # shape a Dataset adds nothing to but ~0.2 s of streaming-
-                # executor spin-up per execution.  Gathering in submission
-                # order keeps the candidate frame's order deterministic.
-                # The streamed path (pending > DRIVER_PATH_MAX_ROWS) stays
-                # fully Dataset-based.
-                fn_ref = ray.put(wave_fn)  # serialize the closure once per wave
-                parts = ray.get([_apply_wave_block.remote(fn_ref, b) for b in blocks])
-                sec["fs_exec"] = round(time.time() - t_fs, 3)
-                t_fs2 = time.time()
-                parts = [p for p in parts if len(p)]
-                cand_df = (
-                    pd.concat(parts, ignore_index=True)
-                    if parts else _empty_candidates_df()
-                )
-                sec["fs_pull"] = round(time.time() - t_fs2, 3)
-            sec["fetch_score"] = round(time.time() - t_sec, 3)
-            t_sec = time.time()
-
-            # 4. candidate insertion + next frontier
-            next_dir = ckpt.wave_dir(out_dir, "frontier", wave + 1)
-            if len(cand_df) <= DRIVER_PATH_MAX_ROWS:
-                new_rows = _insert_driver(cand_df, seen_shards, next_seq, cfg)
-                inserted = int(len(new_rows))
-                pending_df = pd.concat(
-                    [deferred, new_rows], ignore_index=True
-                ) if inserted else deferred.reset_index(drop=True)
-                _write_frontier(pending_df, next_dir)
-                pending_count = int(len(pending_df))
-            else:
-                # the link fan-out outgrew the driver: stream the insertion,
-                # frontier goes back to Parquet partitions
-                _write_frontier(deferred, next_dir)
-                inserted = _insert_streamed(
-                    _from_pandas_chunked(cand_df), seen_shards, next_seq, cfg, next_dir
-                )
-                pending_df = None
-                pending_count = _frontier_row_count(next_dir)
-            next_seq += inserted
-            stats.inserted += inserted
-            sec["insert"] = round(time.time() - t_sec, 3)
+        next_frontier = ckpt.wave_dir(out_dir, "frontier", wave + 1)
+        _clear_dir(next_frontier)
+        _clear_dir(ckpt.wave_dir(out_dir, "ledger", wave))
+        # the size switch picks the executor; both run the same kernels
+        run_wave = _run_wave_streamed if pending_count > DRIVER_PATH_MAX_ROWS else _run_wave_driver
+        inserted = run_wave(
+            out_dir, pages_dir, wave, cfg, lexicon_ref, seen_shards,
+            robots_actors, next_seq, sec, fetcher,
+        )
+        next_seq += inserted
+        stats.inserted += inserted
+        pending_next = _frontier_row_count(next_frontier)
+        admitted_n = pending_count - (pending_next - inserted)
+        pending_count = pending_next
 
         # ---- checkpoint (common tail): counters from this wave's ledger
         # footers, actor-side seen snapshots, manifest
@@ -1023,12 +943,8 @@ def run_crawl(
 
 
 def _read_frontier(path_dir: str) -> pd.DataFrame:
-    files = sorted(
-        os.path.join(path_dir, f)
-        for f in os.listdir(path_dir)
-        if f.endswith(".parquet")
-    )
-    return pa.concat_tables([pq.read_table(f) for f in files]).to_pandas()
+    """One wave's frontier partition files as one driver frame."""
+    return pq.read_table(path_dir).to_pandas()
 
 
 def load_ledger(out_dir: str, include_pending: bool = True) -> pd.DataFrame:
@@ -1052,11 +968,7 @@ def load_ledger(out_dir: str, include_pending: bool = True) -> pd.DataFrame:
         if fdirs:
             pend = _read_frontier(fdirs[-1])
             if len(pend):
-                rows = _norun_ledger_rows(
-                    pend, -1, np.zeros(len(pend), dtype=bool), np.zeros(len(pend), dtype=bool)
-                )
-                rows["handled"] = False
-                rows["wave"] = np.int64(-1)
+                rows = pending_ledger_rows(pend)
                 # skip empty frames in the concat (pandas deprecation: empty
                 # entries would otherwise influence result dtypes)
                 ledger = (

@@ -7,8 +7,8 @@
 * ``sha256_bytes`` — SHA-256 hex of page bytes, the content-dedup key
                      (lrl-crawler.py:230-233).
 
-Batch variants take numpy object arrays / pyarrow columns and return numpy
-arrays; hashing is C-level per element so a row loop is the natural shape.
+Batch variants take numpy object arrays and return numpy arrays; hashing
+is C-level per element so a row loop is the natural shape.
 ``url_bucket`` maps a digest to a stable partition id for the bucketed
 fetch join / seen-shard routing.
 """
@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-import pyarrow as pa
 
 
 def md5_url(url: str) -> str:
@@ -47,18 +46,6 @@ def sha1_batch(strings) -> np.ndarray:
         ["" if s is None else sha1(s.encode()).hexdigest() for s in strings],
         dtype=object,
     )
-
-
-def sha256_batch(byte_col) -> np.ndarray:
-    """SHA-256 over a binary column (pa.Array / iterable of bytes)."""
-    if isinstance(byte_col, pa.ChunkedArray):
-        byte_col = byte_col.combine_chunks()
-    sha = hashlib.sha256
-    out = np.empty(len(byte_col), dtype=object)
-    for i, v in enumerate(byte_col):
-        b = v.as_py() if isinstance(v, pa.Scalar) else v
-        out[i] = "" if b is None else sha(b).hexdigest()
-    return out
 
 
 def digest_to_shard(hex_digest: str, num_shards: int) -> int:

@@ -31,7 +31,6 @@ import codecs
 import re
 from html.parser import HTMLParser
 
-import numpy as np
 import pyarrow as pa
 
 _META_CHARSET_RE = re.compile(
@@ -206,17 +205,6 @@ def extract_links(html: str) -> list[str]:
 # ---------------------------------------------------------------------------
 # Batch kernels (Arrow in / Arrow columns out) for map_batches stages.
 # ---------------------------------------------------------------------------
-
-def extract_text_batch(html_col: pa.Array | pa.ChunkedArray) -> pa.Array:
-    """Vectorized-at-the-batch-level extraction over a binary column."""
-    if isinstance(html_col, pa.ChunkedArray):
-        html_col = html_col.combine_chunks()
-    out = np.empty(len(html_col), dtype=object)
-    for i, v in enumerate(html_col):
-        b = v.as_py()
-        out[i] = "" if b is None else extract_text_from_html_bytes(b)
-    return pa.array(out, type=pa.string())
-
 
 def extract_links_batch(html_col: pa.Array | pa.ChunkedArray) -> pa.Array:
     """binary html column -> list<string> hrefs column (document order)."""

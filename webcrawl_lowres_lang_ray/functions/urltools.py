@@ -15,7 +15,7 @@
 from __future__ import annotations
 
 import base64
-from urllib.parse import parse_qs, urljoin, urlparse, urlunparse
+from urllib.parse import parse_qs, urlparse, urlunparse
 
 import numpy as np
 
@@ -23,10 +23,6 @@ import numpy as np
 def is_relative(url: str) -> bool:
     p = urlparse(url)
     return f"{p.scheme}://{p.netloc}" == "://"
-
-
-def host_of(url: str) -> str:
-    return urlparse(url).netloc
 
 
 def is_excluded(url: str, excluded_domains) -> bool:
@@ -44,11 +40,6 @@ def canonicalize(url: str) -> str:
         netloc = netloc[:-4]
     path = p.path or "/"
     return urlunparse((scheme, netloc, path, p.params, p.query, ""))
-
-
-def resolve(base_url: str, href: str) -> str:
-    """Resolve an href against its page URL (stdlib RFC 3986 join)."""
-    return urljoin(base_url, href)
 
 
 def bing_base64_decode_one(url: str) -> str:

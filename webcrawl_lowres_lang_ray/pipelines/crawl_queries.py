@@ -39,7 +39,7 @@ def ledger_dataset(
     flags false (matching frontier.load_ledger's driver-frame semantics)."""
     import glob
 
-    from ..frontier import LEDGER_META_COLS, _norun_ledger_rows, empty_ledger_df
+    from ..frontier import LEDGER_META_COLS, empty_ledger_df, pending_ledger_rows
 
     parts = sorted(glob.glob(os.path.join(out_dir, "ledger", "wave=*", "*.parquet")))
     if parts:
@@ -64,11 +64,7 @@ def ledger_dataset(
                 arrow_schema = pa.schema([lsch.field(c) for c in want])
 
             def to_ledger_rows(b: pd.DataFrame):
-                rows = _norun_ledger_rows(
-                    b, -1, np.zeros(len(b), dtype=bool), np.zeros(len(b), dtype=bool)
-                )
-                rows["handled"] = False
-                rows = rows[want]
+                rows = pending_ledger_rows(b)[want]
                 if arrow_schema is None:
                     return rows
                 import pyarrow as pa

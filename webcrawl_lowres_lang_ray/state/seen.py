@@ -29,11 +29,11 @@ of state:
 * ``SeenShardsAndRobots`` — the state actor: ``num_shards`` ``SeenShard``
   objects plus one ``RobotsCache``.
 
-Retry-safe protocol (streamed insertion path, frontier._insert_streamed):
-``probe_new`` is READ-ONLY, so a Ray task retry that re-probes returns the
-same verdicts; keys are registered via ``add_blob`` only from the seq-assign
-tasks for rows that actually inserted (idempotent: re-adding a key is a set
-union).  This also matches the oracle's ``max_pages`` semantics
+Retry-safe protocol (the two insertion kernels, frontier.insert_probe and
+frontier.insert_commit, on every wave path): ``probe_new`` is READ-ONLY, so
+a Ray task retry that re-probes returns the same verdicts; keys are
+registered via ``add_blob`` only by ``insert_commit``, for rows that
+actually inserted (idempotent: re-adding a key is a set union).  This also matches the oracle's ``max_pages`` semantics
 (oracle.py:102-112): a candidate dropped by the insertion budget is never
 seen-marked, so raising the budget on resume re-crawls it.
 
