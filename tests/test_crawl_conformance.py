@@ -78,21 +78,27 @@ def _assert_ledger_equal(eng: pd.DataFrame, orc: pd.DataFrame):
 @pytest.mark.usefixtures("ray_session")
 class TestCrawlConformance:
     def test_ledger_matches_oracle(self, tiny_corpus, tmp_path, monkeypatch):
+        import ray
+
         import webcrawl_lowres_lang_ray.frontier as fr
 
-        robots_rpcs = []
-        real = fr.robots_blocked_mask
+        states = []
+        create = fr.create_robots_actors
 
-        def counting(actors, urls):
-            robots_rpcs.append(len(urls))
-            return real(actors, urls)
+        def keep(*a, **kw):
+            states.append(create(*a, **kw))
+            return states[-1]
 
-        monkeypatch.setattr(fr, "robots_blocked_mask", counting)
+        monkeypatch.setattr(fr, "create_robots_actors", keep)
         stats = run_crawl(tiny_corpus, str(tmp_path / "out"), CFG)
-        # every wave takes the driver-local path, which runs the wave as one
-        # task with one candidate prep: one robots RPC per wave at most, plus
-        # one for seed insertion, however many buckets a wave fetches
-        assert 0 < len(robots_rpcs) <= stats.waves + 1, (len(robots_rpcs), stats.waves)
+        # every wave takes the driver path: at most one wave task per CPU,
+        # each with one candidate prep and so one robots RPC, plus one for
+        # seed insertion, however many buckets a wave fetches.  The RPCs
+        # come from worker processes, so the state actor counts them.
+        ((state,),) = states
+        lookups = ray.get(state.stats.remote())["lookups"]
+        tasks = min(int(ray.cluster_resources()["CPU"]), CFG.num_url_buckets)
+        assert 0 < lookups <= stats.waves * tasks + 1, (lookups, stats.waves)
         eng = load_ledger(str(tmp_path / "out")).sort_values("seq").reset_index(drop=True)
         orc = _oracle_df(tiny_corpus, CFG)
         _assert_ledger_equal(eng, orc)
@@ -199,14 +205,14 @@ class TestCrawlConformance:
         eng = load_ledger(str(tmp_path / "out")).sort_values("seq").reset_index(drop=True)
         _assert_ledger_equal(eng, _oracle_df(tiny_corpus, CFG))
 
-    @pytest.mark.parametrize("path", ["local", "fanout", "streamed"])
+    @pytest.mark.parametrize("path", ["fanout", "streamed"])
     def test_manifest_counters_equal_ledger_sums(
         self, tiny_corpus, tmp_path, monkeypatch, path
     ):
         """Every wave manifest records that wave's five ledger counters,
         summed from the ledger partitions' footers, on each wave path: the
-        driver-local wave, the raw-task fan-out and the streamed wave (whose
-        norun partitions are written by the admission tasks)."""
+        driver path's raw-task fan-out and the streamed wave (whose norun
+        partitions are written by the admission tasks)."""
         import shutil
 
         import pyarrow as pa
@@ -221,8 +227,6 @@ class TestCrawlConformance:
         robots = pq.read_table(f"{corpus}/robots.parquet").to_pylist()
         robots.append({"host": "host001.example.org", "disallow": ["/"]})
         pq.write_table(pa.Table.from_pylist(robots), f"{corpus}/robots.parquet")
-        if path != "local":
-            monkeypatch.setattr(fr, "SMALL_WAVE_MAX_ROWS", 0)
         if path == "streamed":
             monkeypatch.setattr(fr, "DRIVER_PATH_MAX_ROWS", 0)
         out = str(tmp_path / "out")
@@ -324,11 +328,83 @@ class TestCrawlConformance:
         run_crawl(tiny_corpus, str(tmp_path / "drv"), CFG)
         # force the fully-distributed path for admission, insertion AND fetch
         monkeypatch.setattr(fr, "DRIVER_PATH_MAX_ROWS", 0)
-        monkeypatch.setattr(fr, "SMALL_WAVE_MAX_ROWS", 0)
         run_crawl(tiny_corpus, str(tmp_path / "ray"), CFG)
         _assert_ledger_equal(
             load_ledger(str(tmp_path / "drv")), load_ledger(str(tmp_path / "ray"))
         )
+
+    def test_driver_wave_submits_one_task_per_cpu(self, tiny_corpus, tmp_path, monkeypatch):
+        """A driver-path wave over G bucket groups submits exactly
+        min(CPUs, G) wave tasks, and every group lands in exactly one of
+        them (one ledger partition per bucket)."""
+        import glob
+        import os
+
+        import ray
+
+        import webcrawl_lowres_lang_ray.checkpoint as ckpt
+        import webcrawl_lowres_lang_ray.frontier as fr
+
+        blocks = []
+        real = fr._apply_wave_block
+
+        class Counting:
+            @staticmethod
+            def remote(fn, blk):
+                blocks.append(blk)
+                return real.remote(fn, blk)
+
+        monkeypatch.setattr(fr, "_apply_wave_block", Counting)
+        out = str(tmp_path / "out")
+        stats = run_crawl(tiny_corpus, out, CFG)
+        ledger = load_ledger(out, include_pending=False)
+        wave_of = dict(zip(ledger["seq"], ledger["wave"]))
+        by_wave: dict[int, list[pd.DataFrame]] = {}
+        for blk in blocks:
+            (w,) = {wave_of[s] for s in blk["seq"]}
+            by_wave.setdefault(w, []).append(blk)
+        cpus = int(ray.cluster_resources()["CPU"])
+        groups = []
+        for w in range(stats.waves):
+            parts = glob.glob(os.path.join(ckpt.wave_dir(out, "ledger", w), "part-b*.parquet"))
+            buckets = [b for blk in by_wave.get(w, []) for b in blk["bucket"].unique()]
+            assert len(buckets) == len(set(buckets)) == len(parts), w
+            assert len(by_wave.get(w, [])) == min(cpus, len(parts)), w
+            groups.append(len(parts))
+        assert max(groups) > cpus, groups  # the per-CPU cap was exercised
+
+    def test_streamed_crawl_logs_no_block_size_errors(self, tiny_corpus, tmp_path, monkeypatch):
+        """A streamed insertion partition whose rows are all seen leaves 0
+        rows.  Ray Data sizes a pandas block's object columns with
+        ``np.vectorize``, which raises on 0 rows and logs "Error calculating
+        size" once per column from the worker; the streamed stages emit
+        Arrow blocks of one fixed schema instead."""
+        import glob
+        import os
+        import time
+
+        import ray
+
+        import webcrawl_lowres_lang_ray.frontier as fr
+
+        logs = ray._private.worker.global_worker.node.get_logs_dir_path()
+
+        def size_errors() -> int:
+            n = 0
+            for f in glob.glob(os.path.join(logs, "worker-*")):
+                with open(f, errors="replace") as fh:
+                    n += fh.read().count("Error calculating size")
+            return n
+
+        # worker log lines reach their files asynchronously: let earlier
+        # tests' lines land before counting, and this crawl's after
+        time.sleep(1)
+        before = size_errors()
+        monkeypatch.setattr(fr, "DRIVER_PATH_MAX_ROWS", 0)
+        stats = run_crawl(tiny_corpus, str(tmp_path / "out"), CFG)
+        assert stats.waves > 2
+        time.sleep(1)
+        assert size_errors() == before
 
     def test_model_cache_is_keyed_by_lexicon_ref(self, tiny_corpus):
         """Wave tasks reuse the worker's scorer model while the crawl's
@@ -369,7 +445,6 @@ class TestCrawlConformance:
                 _os._exit(1)  # hard worker crash mid-task
             return fn(blk)
 
-        monkeypatch.setattr(fr, "SMALL_WAVE_MAX_ROWS", 0)  # force fan-out
         monkeypatch.setattr(fr, "_apply_wave_block", dying)
         run_crawl(tiny_corpus, str(tmp_path / "crashed"), CFG)
         assert (tmp_path / "died_once").exists(), "crash hook never fired"

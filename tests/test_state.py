@@ -256,6 +256,30 @@ class TestRobotsCache:
         stats = ray.get([a.stats.remote() for a in actors])
         assert sum(s["fetches"] for s in stats) == 2  # distinct hosts
 
+    def test_lookup_leaves_pyarrow_dataset_unimported(self, small_corpus):
+        """The first lookup reads the robots table in the state actor's
+        fresh process, where ``pq.read_table`` would first import
+        ``pyarrow.dataset`` (about 0.15 s); the cache reads it without."""
+        import os
+        import subprocess
+        import sys
+
+        from webcrawl_lowres_lang_ray.sources.synth import load_robots
+
+        host, rules = next((h, r) for h, r in load_robots(small_corpus).items() if r)
+        code = (
+            "import sys\n"
+            "from webcrawl_lowres_lang_ray.state.robots import RobotsCache\n"
+            f"c = RobotsCache({os.path.join(small_corpus, 'robots.parquet')!r})\n"
+            f"assert list(c.blocked_batch(['https://{host}{rules[0]}x'])) == [True]\n"
+            "print('pyarrow.dataset' in sys.modules)\n"
+        )
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", code], cwd=root, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False", out.stdout
+
     def test_each_host_cached_once_across_processes(self, small_corpus):
         """Two worker processes (each with its own salted str ``hash``) gate
         the same URLs through the crawl's candidate prep: the robots cache

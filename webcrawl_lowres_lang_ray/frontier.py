@@ -20,17 +20,15 @@ num_threads=1 FIFO semantics) with Ray Data execution per wave:
        partition write, seen_add of the written rows
     -> manifest + seen snapshots
 
-Every wave (and seed insertion) runs these same kernels; the two size
-switches choose only the executor.  At most ``DRIVER_PATH_MAX_ROWS``
-pending rows (summed from the frontier's Parquet footers), the driver runs
-admission and insertion as ONE partition (seq = base + arange), and
-fetch/score as one local task for at most ``SMALL_WAVE_MAX_ROWS`` rows,
-else as raw Ray tasks over LPT-packed bucket blocks — a cluster fan-out
-for a tail wave costs more than the work.  Above it the wave runs FULLY
-STREAMED (_run_wave_streamed): admission once per host partition, the
-fused stage over zero-copy Arrow batches, insertion once per digest
-partition with a rank-offset histogram for the seqs.  Driver traffic per
-streamed wave: that O(rank-buckets) histogram, per-partition counts and
+Every wave (and seed insertion) runs these same kernels; one size switch
+chooses only the executor.  At most ``DRIVER_PATH_MAX_ROWS`` pending rows
+(summed from the frontier's Parquet footers), the driver runs admission and
+insertion as ONE partition (seq = base + arange), and fetch/score as raw Ray
+tasks, one per cluster CPU, over LPT-packed bucket blocks.  Above it the
+wave runs FULLY STREAMED (_run_wave_streamed): admission once per host
+partition, the fused stage over zero-copy Arrow batches, insertion once per
+digest partition with a rank-offset histogram for the seqs.  Driver traffic
+per streamed wave: that O(rank-buckets) histogram, per-partition counts and
 Parquet footers — never a frontier frame (tests/test_crawl_conformance.py
 pins this with a to_pandas row cap, and pins bit-for-bit ledger equality
 across the paths, including a crawl that switches between them).
@@ -95,11 +93,6 @@ from .state.seen import (
 # above this many pending rows a wave runs streamed: the frontier never
 # becomes a driver frame (same kernels, other executor)
 DRIVER_PATH_MAX_ROWS = 200_000
-# politeness-bound tail waves (a few URLs per hot host) run locally with the
-# SAME kernels — paying a cluster fan-out for <~a hundred rows costs more
-# than the work; any real scheduler makes this call.  Conformance tests force
-# both paths and assert identical ledgers.
-SMALL_WAVE_MAX_ROWS = 128
 _RANK_BUCKET = 256
 
 FRONTIER_SCHEMA = pa.schema([
@@ -160,10 +153,14 @@ def _write_ledger_part(tbl: pa.Table, path: str) -> None:
     pq.write_table(tbl.replace_schema_metadata(meta), path)
 
 
+def _frontier_table(df: pd.DataFrame) -> pa.Table:
+    return pa.Table.from_pandas(
+        df[FRONTIER_SCHEMA.names], schema=FRONTIER_SCHEMA, preserve_index=False
+    ).replace_schema_metadata(None)
+
+
 def _write_frontier_part(df: pd.DataFrame, path: str) -> None:
-    pq.write_table(
-        pa.Table.from_pandas(df[FRONTIER_SCHEMA.names], schema=FRONTIER_SCHEMA, preserve_index=False), path
-    )
+    pq.write_table(_frontier_table(df), path)
 
 
 def _wave_counts(ledger_dir: str) -> dict[str, int]:
@@ -199,8 +196,9 @@ class CrawlStats:
 
 
 # ---------------------------------------------------------------------------
-# scorer-model cache: one model per worker process (stateless wave tasks
-# reuse worker processes, so the model builds once per worker per crawl).
+# scorer-model cache: one model per worker process.  Wave tasks run only in
+# Ray workers (the driver never scores), and stateless tasks reuse worker
+# processes, so the model builds once per worker that runs a wave task.
 # Each run_crawl puts its lexicon once under one fixed cfg, so the lexicon
 # ObjectRef alone identifies the model and one slot is enough.
 # ---------------------------------------------------------------------------
@@ -254,9 +252,9 @@ def _wave_task(pages_dir: str, lexicon_ref, cfg: CrawlConfig, wave: int, ledger_
     filter, canon/sha1/md5/host/bucket, one robots RPC).
 
     Arrow-native: the streamed path hands the batch in as a zero-copy
-    pyarrow Table (``batch_format="pyarrow"``); the local and raw-task
-    paths hand in the admitted pandas rows (slim frontier columns), which
-    are converted once.  The page-table html bytes go straight from the
+    pyarrow Table (``batch_format="pyarrow"``); the driver path's raw tasks
+    hand in the admitted pandas rows (slim frontier columns), which are
+    converted once.  The page-table html bytes go straight from the
     Parquet read into the scorer, and the ledger partition is written as an
     Arrow table — the wide binary/text payloads never pass through pandas
     object columns.  Only the small prepared candidate rows (urls + hashes
@@ -370,7 +368,7 @@ def _wave_task(pages_dir: str, lexicon_ref, cfg: CrawlConfig, wave: int, ledger_
         return links
 
     def fn(batch) -> pd.DataFrame:
-        if isinstance(batch, pd.DataFrame):  # local and raw-task paths
+        if isinstance(batch, pd.DataFrame):  # the driver path's raw tasks
             batch = pa.Table.from_pandas(batch, preserve_index=False)
         if batch.num_rows == 0:
             return _empty_candidates_df()
@@ -405,23 +403,15 @@ def _wave_task(pages_dir: str, lexicon_ref, cfg: CrawlConfig, wave: int, ledger_
     return fn
 
 
+# prepared candidate rows (what a wave task returns and insertion takes):
+# the frontier columns, with (parent seq, link index) in place of seq
+CANDIDATE_SCHEMA = pa.schema(
+    [("ord1", pa.int64()), ("ord2", pa.int64()), *(f for f in FRONTIER_SCHEMA if f.name != "seq")]
+)
+
+
 def _empty_candidates_df() -> pd.DataFrame:
-    return pd.DataFrame(
-        {
-            "url": pd.Series(dtype="object"),
-            "query_id": pd.Series(dtype="int64"),
-            "engine": pd.Series(dtype="object"),
-            "ord1": pd.Series(dtype="int64"),
-            "ord2": pd.Series(dtype="int64"),
-            "canon_sha1": pd.Series(dtype="object"),
-            "url_hash": pd.Series(dtype="object"),
-            "host": pd.Series(dtype="object"),
-            "bucket": pd.Series(dtype="int32"),
-            "is_rel": pd.Series(dtype="bool"),
-            "robots_blocked": pd.Series(dtype="bool"),
-            "priority": pd.Series(dtype="int64"),
-        }
-    )
+    return CANDIDATE_SCHEMA.empty_table().to_pandas()
 
 
 def _norun_ledger_rows(df: pd.DataFrame, wave: int, relative: np.ndarray, robots: np.ndarray) -> pd.DataFrame:
@@ -537,6 +527,18 @@ def _insert_one_part(cand: pd.DataFrame, seen_shards, base_seq: int, cfg: CrawlC
     )
 
 
+def _candidate_block(df: pd.DataFrame, *int_cols: str) -> pa.Table:
+    """Candidate rows plus int64 ``int_cols`` as an Arrow block of one fixed
+    schema.  Ray Data sizes a pandas block's object columns with
+    ``np.vectorize``, which raises on 0 rows and logs one error per column;
+    an Arrow block is sized from its buffers, and one schema for empty and
+    full blocks alike leaves Ray nothing to unify."""
+    schema = CANDIDATE_SCHEMA
+    for c in int_cols:
+        schema = schema.append(pa.field(c, pa.int64()))
+    return pa.Table.from_pandas(df, schema=schema, preserve_index=False).replace_schema_metadata(None)
+
+
 def _insert_streamed(
     cand_ds: "ray.data.Dataset",
     seen_shards,
@@ -556,19 +558,14 @@ def _insert_streamed(
     rows never visit the driver; only the O(rank-buckets) histogram does.
     Returns the number of rows inserted."""
 
-    def add_part(b: pd.DataFrame) -> pd.DataFrame:
-        if len(b) == 0:
-            return b.assign(dedup_part=pd.Series(dtype="int64"))
-        b = b.copy()
+    def add_part(b: pd.DataFrame) -> pa.Table:
         mat = hex_to_digests(b["canon_sha1"].to_numpy())
         # bytes 12:16 — independent of both the seen-shard bytes (trailing 4)
         # and the cuckoo bucket bytes (leading)
-        b["dedup_part"] = (
-            mat[:, 12:16].copy().view("<u4").ravel() % np.uint32(64)
-        ).astype(np.int64)
-        return b
+        part = mat[:, 12:16].copy().view("<u4").ravel() % np.uint32(64)
+        return _candidate_block(b.assign(dedup_part=part.astype(np.int64)), "dedup_part")
 
-    def dedup_probe_rank(g: pd.DataFrame) -> pd.DataFrame:
+    def dedup_probe_rank(g: pd.DataFrame) -> pa.Table:
         # keys register later, in assign_write, only for rows that insert
         g = insert_probe(g.drop(columns=["dedup_part"]), seen_shards)
         g = g.assign(rank_bucket=(g["ord1"] // _RANK_BUCKET).astype(np.int64))
@@ -578,7 +575,7 @@ def _insert_streamed(
         g["rank_part"] = (
             pd.util.hash_array(g["rank_bucket"].to_numpy(np.int64)) % 64
         ).astype(np.int64)
-        return g
+        return _candidate_block(g, "rank_bucket", "rank_part")
 
     t0 = time.time()
     survivors = (
@@ -657,13 +654,6 @@ def _frontier_row_count(path_dir: str) -> int:
 
 _SHUFFLE_PARTS = 64
 
-# fetch/score task granularity: LPT bins per cluster CPU on the driver wave
-# path.  Higher = smaller tasks = shorter wave-barrier drain when per-task
-# cost varies (zipf text lengths, host jitter); lower = less dispatch
-# overhead.  A 2x2 A/B at 16 cpus sf0.1 showed 8 within noise of (slightly
-# behind) 4 — the drain is already bounded by LPT largest-first emission.
-_LPT_TASKS_PER_CPU = 4
-
 
 @ray.remote
 def _apply_wave_block(fn, blk: pd.DataFrame) -> pd.DataFrame:
@@ -685,9 +675,9 @@ def _run_wave_driver(
     fetcher=None,
 ) -> int:
     """One politeness wave with the frontier as a driver frame: admission
-    and insertion run as ONE partition; fetch/score runs as one local wave
-    task or as raw Ray tasks over LPT-packed bucket blocks.  Returns the
-    number of rows inserted."""
+    and insertion run as ONE partition; fetch/score runs as raw Ray tasks,
+    one per cluster CPU, over LPT-packed bucket blocks.  Returns the number
+    of rows inserted."""
     t_sec = time.time()
     next_frontier = ckpt.wave_dir(out_dir, "frontier", wave + 1)
     ledger_dir = ckpt.wave_dir(out_dir, "ledger", wave)
@@ -701,44 +691,35 @@ def _run_wave_driver(
     # (_wave_task) per packed block of buckets; per bucket it reads exactly
     # one page-table bucket file (partitioned hash join, no sort shuffle)
     # and writes its own ledger partition, then returns the block's
-    # candidates from one per-wave-task prep.
+    # candidates from one per-wave-task prep (one robots RPC).
+    #
+    # One block per cluster CPU: bucket groups are LPT-bin-packed
+    # (largest group to the lightest bin) and emitted largest-first, so no
+    # big block lands last and stretches the wave barrier.  More, smaller
+    # blocks measured slower on both benchmark workloads — each task pays
+    # dispatch and a robots RPC, and a tail wave is a few rows per bucket.
+    groups = [g for _, g in to_fetch.groupby("bucket", sort=True)]
+    nbins = min(max(1, int(ray.cluster_resources().get("CPU", 1))), len(groups))
+    bins: list[list[pd.DataFrame]] = [[] for _ in range(nbins)]
+    sizes = np.zeros(nbins, dtype=np.int64)
+    for g in sorted(groups, key=len, reverse=True):
+        i = int(sizes.argmin())
+        bins[i].append(g)
+        sizes[i] += len(g)
+    blocks = [pd.concat(bins[i], ignore_index=True) for i in np.argsort(-sizes, kind="stable")]
+    sections["fs_pack"] = round(time.time() - t_sec, 3)
+    t_fs = time.time()
+    # raw-task scatter/gather: the blocks are already packed and sit on the
+    # driver, and the wave is a fixed barrier — the shape a Dataset adds
+    # nothing to but ~0.2 s of streaming-executor spin-up per execution.
+    # Gathering in submission order keeps the candidate frame's order
+    # deterministic.
     wave_fn = _wave_task(pages_dir, lexicon_ref, cfg, wave, ledger_dir, robots_actors, fetcher=fetcher)
-    if len(to_fetch) <= SMALL_WAVE_MAX_ROWS:
-        # local fast path: same kernel, no cluster fan-out, the whole wave
-        # as one task
-        cand_df = wave_fn(to_fetch)
-    else:
-        # task granularity is decoupled from the bucket count: bucket groups
-        # are LPT-bin-packed into ~4x cluster CPUs blocks (a task handles
-        # several buckets, still reading one bucket file each), emitted
-        # largest-first so the wave barrier isn't stretched by a big block
-        # landing last.  Hundreds of tiny tasks would serialize on driver
-        # dispatch; a handful of huge ones would straggle.
-        groups = [
-            g.reset_index(drop=True) for _, g in to_fetch.groupby("bucket", sort=True)
-        ]
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        nbins = max(8, min(_LPT_TASKS_PER_CPU * cpus, len(groups)))
-        bins: list[list[pd.DataFrame]] = [[] for _ in range(nbins)]
-        sizes = np.zeros(nbins, dtype=np.int64)
-        for g in sorted(groups, key=len, reverse=True):
-            i = int(sizes.argmin())
-            bins[i].append(g)
-            sizes[i] += len(g)
-        order = np.argsort(-sizes)
-        blocks = [pd.concat(bins[i], ignore_index=True) for i in order if bins[i]]
-        sections["fs_pack"] = round(time.time() - t_sec, 3)
-        t_fs = time.time()
-        # raw-task scatter/gather: the blocks are already packed and sit on
-        # the driver, and the wave is a fixed barrier — the shape a Dataset
-        # adds nothing to but ~0.2 s of streaming-executor spin-up per
-        # execution.  Gathering in submission order keeps the candidate
-        # frame's order deterministic.
-        fn_ref = ray.put(wave_fn)  # serialize the closure once per wave
-        parts = ray.get([_apply_wave_block.remote(fn_ref, b) for b in blocks])
-        sections["fs_exec"] = round(time.time() - t_fs, 3)
-        parts = [p for p in parts if len(p)]
-        cand_df = pd.concat(parts, ignore_index=True) if parts else _empty_candidates_df()
+    fn_ref = ray.put(wave_fn)  # serialize the closure once per wave
+    parts = ray.get([_apply_wave_block.remote(fn_ref, b) for b in blocks])
+    sections["fs_exec"] = round(time.time() - t_fs, 3)
+    parts = [p for p in parts if len(p)]
+    cand_df = pd.concat(parts, ignore_index=True) if parts else _empty_candidates_df()
     sections["fetch_score"] = round(time.time() - t_sec, 3)
     t_sec = time.time()
     inserted = _insert_one_part(cand_df, seen_shards, next_seq, cfg, next_frontier)
@@ -792,11 +773,12 @@ def _run_wave_streamed(
         ).astype(np.int64)
         return b
 
-    def admit_part(g: pd.DataFrame) -> pd.DataFrame:
-        return admit_route(
-            g.drop(columns=["admit_part"]), cfg.per_host_per_wave, wave,
+    def admit_part(g: pd.DataFrame) -> pa.Table:
+        # Arrow out, one schema even at 0 rows (see _candidate_block)
+        return _frontier_table(admit_route(
+            g, cfg.per_host_per_wave, wave,
             int(g["admit_part"].iloc[0]), next_frontier, ledger_dir,
-        )
+        ))
 
     wave_fn = _wave_task(pages_dir, lexicon_ref, cfg, wave, ledger_dir, robots_actors, fetcher=fetcher)
 
@@ -809,7 +791,9 @@ def _run_wave_streamed(
         # nparts): the fused fetch/score stage consumes it block-by-block as
         # zero-copy Arrow, slicing per exact bucket inside the task — no
         # second shuffle
-        .map_batches(wave_fn, batch_format="pyarrow", batch_size=None)
+        .map_batches(
+            lambda b: _candidate_block(wave_fn(b)), batch_format="pyarrow", batch_size=None
+        )
     )
     try:
         return _insert_streamed(candidates, seen_shards, next_seq, cfg, next_frontier, sections)
