@@ -11,7 +11,7 @@ Runs the sf0.1-sized crawl three ways in ONE Ray session:
              snapshots, counters) and finishes the remaining waves
 
 and asserts the resumed ledger is hash-identical to the uninterrupted one
-(order-insensitive md5 over all rows of the key columns).
+(order-insensitive md5 over all rows of every ledger column, text included).
 
     python scripts/kill_resume_check.py [--pages 300000] [--cpus N]
                                         [--kill-waves 4]
@@ -36,24 +36,18 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def ledger_md5(out_dir: str) -> tuple[str, int]:
-    """Order-insensitive md5 over (seq, url_hash, downloaded, rejected,
-    wave) of every ledger row — the same determinism key the soak uses."""
+    """Order-insensitive md5 over every LEDGER_META_COLS column (``text``
+    included) of every ledger row."""
     import glob
 
     import pyarrow.parquet as pq
 
+    from webcrawl_lowres_lang_ray.frontier import LEDGER_META_COLS
+
     rows = []
     for f in sorted(glob.glob(os.path.join(out_dir, "ledger", "wave=*", "*.parquet"))):
-        t = pq.read_table(
-            f, columns=["seq", "url_hash", "downloaded", "rejected"]
-        )
-        d = t.to_pydict()
-        rows.extend(
-            f"{s}\x1f{u}\x1f{dl}\x1f{rj}"
-            for s, u, dl, rj in zip(
-                d["seq"], d["url_hash"], d["downloaded"], d["rejected"]
-            )
-        )
+        d = pq.read_table(f, columns=LEDGER_META_COLS).to_pydict()
+        rows.extend("\x1f".join(map(repr, r)) for r in zip(*(d[c] for c in LEDGER_META_COLS)))
     digest = hashlib.md5("\n".join(sorted(rows)).encode()).hexdigest()
     return digest, len(rows)
 

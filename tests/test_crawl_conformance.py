@@ -212,7 +212,11 @@ class TestCrawlConformance:
         """Every wave manifest records that wave's five ledger counters,
         summed from the ledger partitions' footers, on each wave path: the
         driver path's raw-task fan-out and the streamed wave (whose norun
-        partitions are written by the admission tasks)."""
+        partitions are written by the admission tasks).  Every frontier and
+        ledger file either path writes has exactly FRONTIER_SCHEMA /
+        LEDGER_SCHEMA, and its only footer metadata is a ledger file's
+        ``ledger_counts``."""
+        import glob
         import shutil
 
         import pyarrow as pa
@@ -233,6 +237,16 @@ class TestCrawlConformance:
         stats = run_crawl(corpus, out, CFG)
         _assert_manifest_counts(out, stats)
         assert all(v > 0 for v in _stat_values(stats).values()), _stat_values(stats)
+        for kind, schema, keys in (
+            ("frontier", fr.FRONTIER_SCHEMA, set()),
+            ("ledger", fr.LEDGER_SCHEMA, {b"ledger_counts"}),
+        ):
+            files = glob.glob(f"{out}/{kind}/wave=*/*.parquet")
+            assert files, kind
+            for f in files:
+                got = pq.read_schema(f)
+                assert got.equals(schema), (f, got)
+                assert set(got.metadata or {}) == keys, (f, got.metadata)
 
     def test_one_state_actor_serves_seen_and_robots(self, tiny_corpus, tmp_path, monkeypatch):
         """A crawl starts exactly one state actor: both factories hand back
@@ -351,7 +365,7 @@ class TestCrawlConformance:
         class Counting:
             @staticmethod
             def remote(fn, blk):
-                blocks.append(blk)
+                blocks.append(blk.to_pandas())
                 return real.remote(fn, blk)
 
         monkeypatch.setattr(fr, "_apply_wave_block", Counting)
@@ -459,6 +473,7 @@ class TestCrawlConformance:
         returns the same candidates once both are sorted by (ord1, ord2)."""
         import os
 
+        import pyarrow as pa
         import pyarrow.parquet as pq
         import ray
 
@@ -470,7 +485,7 @@ class TestCrawlConformance:
 
         out = str(tmp_path / "out")
         run_crawl(tiny_corpus, out, CFG.replace(max_waves=1))
-        pending = fr._read_frontier(ckpt.wave_dir(out, "frontier", 1))
+        pending = fr._read_frontier(ckpt.wave_dir(out, "frontier", 1)).to_pandas()
         batch = pending.loc[~(pending["is_rel"] | pending["robots_blocked"])]
         batch = batch.reset_index(drop=True)
         assert batch["bucket"].nunique() > 1
@@ -486,7 +501,10 @@ class TestCrawlConformance:
             ledger_dir = str(tmp_path / name)
             os.makedirs(ledger_dir)
             fn = fr._wave_task(pages, lexicon_ref, CFG, 1, ledger_dir, robots)
-            cand = pd.concat([fn(b) for b in blocks], ignore_index=True)
+            cand = pd.concat(
+                [fn(pa.Table.from_pandas(b, preserve_index=False)).to_pandas() for b in blocks],
+                ignore_index=True,
+            )
             cand = cand.sort_values(["ord1", "ord2"]).reset_index(drop=True)
             return ledger_dir, cand
 
@@ -604,6 +622,12 @@ class TestCrawlConformance:
         assert len(df) > 0 and (df["wave"] == -1).all()
         full = load_ledger(out)
         assert len(full) == len(df)
+
+    def test_bucket_count_mismatch_fails_loudly(self, tiny_corpus, tmp_path):
+        """A page table written with another bucket count would turn most
+        fetches into misses; the default fetcher refuses it up front."""
+        with pytest.raises(ValueError, match="256 bucket files.*num_url_buckets is 128"):
+            run_crawl(tiny_corpus, str(tmp_path / "out"), CFG.replace(num_url_buckets=128))
 
     def test_politeness_budget_shapes_waves(self, tiny_corpus, tmp_path):
         s1 = run_crawl(tiny_corpus, str(tmp_path / "k1"), CFG.replace(per_host_per_wave=1))

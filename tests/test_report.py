@@ -34,15 +34,15 @@ class TestReport:
 
     def test_counts_match_pandas_ground_truth(self, crawl_out):
         from webcrawl_lowres_lang_ray.frontier import load_ledger
+        from webcrawl_lowres_lang_ray.pipelines.crawl_queries import ledger_dataset
         from webcrawl_lowres_lang_ray.report import (
-            ledger_dataset,
             outcome_counts,
             per_domain_counts,
             verdict_counts,
         )
 
         led_df = load_ledger(crawl_out, include_pending=False)
-        led = ledger_dataset(crawl_out)
+        led = ledger_dataset(crawl_out, include_pending=False)
 
         v = verdict_counts(led)
         expect = led_df["nlp_full_lang"].value_counts()
@@ -59,20 +59,43 @@ class TestReport:
         assert top_row["n"] == top_truth.max()
 
     def test_dup_file_hash_detects_content_dups(self, crawl_out):
-        from webcrawl_lowres_lang_ray.report import dup_file_hash_stats, ledger_dataset
+        from webcrawl_lowres_lang_ray.pipelines.crawl_queries import ledger_dataset
+        from webcrawl_lowres_lang_ray.report import dup_file_hash_stats
 
-        d = dup_file_hash_stats(ledger_dataset(crawl_out))
+        d = dup_file_hash_stats(ledger_dataset(crawl_out, include_pending=False))
         # corpus plants byte-identical duplicate bodies across urls
         assert len(d) > 0 and (d["n"] > 1).all()
 
     def test_confidence_histogram_sums(self, crawl_out):
         from webcrawl_lowres_lang_ray.frontier import load_ledger
-        from webcrawl_lowres_lang_ray.report import confidence_histogram, ledger_dataset
+        from webcrawl_lowres_lang_ray.pipelines.crawl_queries import ledger_dataset
+        from webcrawl_lowres_lang_ray.report import confidence_histogram
 
         led_df = load_ledger(crawl_out, include_pending=False)
-        h = confidence_histogram(ledger_dataset(crawl_out))
+        h = confidence_histogram(ledger_dataset(crawl_out, include_pending=False))
         scored = led_df.loc[led_df["downloaded"] & led_df["handled"]]
         assert int(h["n_conf"].sum()) == len(scored)
+
+    def test_zero_wave_report_counts_zero(self, tiny_corpus, tmp_path):
+        """A crawl stopped before its first wave has no ledger partitions:
+        the report still runs, and every count in it is zero."""
+        from webcrawl_lowres_lang_ray.config import CrawlConfig
+        from webcrawl_lowres_lang_ray.frontier import run_crawl
+        from webcrawl_lowres_lang_ray.report import full_report
+
+        out = str(tmp_path / "zero")
+        assert run_crawl(tiny_corpus, out, CrawlConfig(max_waves=0)).waves == 0
+        rep = full_report(out)
+        assert rep["outcome_counts"].to_dict("records") == [
+            dict.fromkeys(
+                ["downloaded", "failed", "skipped_relative", "robots_blocked", "rejected", "total"], 0
+            )
+        ]
+        assert int(rep["engine_breakdown"]["n"].sum()) == 0
+        assert int(rep["confidence_histogram"]["n_conf"].sum()) == 0
+        for name in ("verdict_counts", "dup_url_hash", "dup_file_hash", "per_domain",
+                     "confidence_extremes", "urls_per_query"):
+            assert len(rep[name]) == 0, name
 
 
 class TestCli:

@@ -10,7 +10,7 @@ num_threads=1 FIFO semantics) with Ray Data execution per wave:
     -> fetch = partitioned hash join vs the page table
        (pre-partitioned by HOST-hash bucket — the crawl's
        single partitioning key)                            [_wave_task]
-    -> doc-type dispatch (M5) + extract + clean + score   [one fused Arrow
+    -> doc-type dispatch (M5) + extract + clean + score   [one fused
        + link-extract; ledger/wave=N/ write per bucket     stage]
     -> candidate prep: excluded-domain filter, hashes,     [per-wave-task
        relative/robots gates (one robots RPC per task)      prep]
@@ -19,6 +19,11 @@ num_threads=1 FIFO semantics) with Ray Data execution per wave:
        then global seq, max_pages cut, next-frontier       [insert_commit]
        partition write, seen_add of the written rows
     -> manifest + seen snapshots
+
+Every row the crawl moves — frontier, candidate and ledger rows — is a
+``pa.Table`` of one fixed schema (FRONTIER_SCHEMA, CANDIDATE_SCHEMA,
+LEDGER_SCHEMA) from the Parquet read to the Parquet write; only
+``load_ledger`` hands its caller a DataFrame.
 
 Every wave (and seed insertion) runs these same kernels; one size switch
 chooses only the executor.  At most ``DRIVER_PATH_MAX_ROWS`` pending rows
@@ -29,7 +34,7 @@ wave runs FULLY STREAMED (_run_wave_streamed): admission once per host
 partition, the fused stage over zero-copy Arrow batches, insertion once per
 digest partition with a rank-offset histogram for the seqs.  Driver traffic
 per streamed wave: that O(rank-buckets) histogram, per-partition counts and
-Parquet footers — never a frontier frame (tests/test_crawl_conformance.py
+Parquet footers — never a frontier table (tests/test_crawl_conformance.py
 pins this with a to_pandas row cap, and pins bit-for-bit ledger equality
 across the paths, including a crawl that switches between them).
 
@@ -43,9 +48,9 @@ Scale notes (the 100 TB story):
   time, and inside it only the url-sorted row groups whose footer
   statistics can hold the requested URLs (sources/fetch.py) — no stage
   scans the whole corpus.
-* html bytes flow fetch->score inside one streaming execution as Arrow
-  binary columns (never pandas object columns) and are dropped before any
-  write; the ledger keeps text, hashes and metrics only.
+* html bytes flow fetch->score inside one task as Arrow binary columns and
+  are dropped before any write; the ledger keeps text, hashes and metrics
+  only.
 * All-default priorities degrade to exact reference FIFO parity.
 * Seen-set checkpoints are written by the state actor itself, one delta
   file per shard (snapshot_to), so 10^10-key snapshots never route through
@@ -91,9 +96,10 @@ from .state.seen import (
 )
 
 # above this many pending rows a wave runs streamed: the frontier never
-# becomes a driver frame (same kernels, other executor)
+# reaches the driver (same kernels, other executor)
 DRIVER_PATH_MAX_ROWS = 200_000
 _RANK_BUCKET = 256
+_SHUFFLE_PARTS = 64
 
 FRONTIER_SCHEMA = pa.schema([
     ("seq", pa.int64()),
@@ -111,25 +117,57 @@ FRONTIER_SCHEMA = pa.schema([
     ("priority", pa.int64()),
 ])
 
-LEDGER_META_COLS = [
-    "seq", "url", "url_hash", "canon_sha1", "host", "query_id", "engine",
-    "wave", "downloaded", "downloaded_failed", "handled", "skipped_relative",
-    "robots_blocked", "doc_type", "file_hash", "text",
-    "nlp_full_lang", "nlp_full_confidence", "nlp_para_count",
-    "nlp_para_count_lrl", "nlp_para_perc_lrl", "rejected",
-]
+# prepared candidate rows (what a wave task returns and insertion takes):
+# the frontier columns, with (parent seq, link index) in place of seq
+CANDIDATE_SCHEMA = pa.schema(
+    [("ord1", pa.int64()), ("ord2", pa.int64()), *(f for f in FRONTIER_SCHEMA if f.name != "seq")]
+)
 
-LEDGER_DTYPES = {
-    "seq": "int64", "url": "object", "url_hash": "object",
-    "canon_sha1": "object", "host": "object", "query_id": "int64",
-    "engine": "object", "wave": "int64", "downloaded": "bool",
-    "downloaded_failed": "bool", "handled": "bool",
-    "skipped_relative": "bool", "robots_blocked": "bool",
-    "doc_type": "object", "file_hash": "object", "text": "object",
-    "nlp_full_lang": "object", "nlp_full_confidence": "float64",
-    "nlp_para_count": "int64", "nlp_para_count_lrl": "int64",
-    "nlp_para_perc_lrl": "float64", "rejected": "bool",
-}
+LEDGER_SCHEMA = pa.schema([
+    # key columns: copied from the frontier row
+    ("seq", pa.int64()),
+    ("url", pa.string()),
+    ("url_hash", pa.string()),
+    ("canon_sha1", pa.string()),
+    ("host", pa.string()),
+    ("query_id", pa.int64()),
+    ("engine", pa.string()),
+    # outcome columns
+    ("wave", pa.int64()),
+    ("downloaded", pa.bool_()),
+    ("downloaded_failed", pa.bool_()),
+    ("handled", pa.bool_()),
+    ("skipped_relative", pa.bool_()),
+    ("robots_blocked", pa.bool_()),
+    ("doc_type", pa.string()),
+    ("file_hash", pa.string()),
+    ("text", pa.string()),
+    ("nlp_full_lang", pa.string()),
+    ("nlp_full_confidence", pa.float64()),
+    ("nlp_para_count", pa.int64()),
+    ("nlp_para_count_lrl", pa.int64()),
+    ("nlp_para_perc_lrl", pa.float64()),
+    ("rejected", pa.bool_()),
+])
+LEDGER_META_COLS = LEDGER_SCHEMA.names
+_LEDGER_KEYS = LEDGER_META_COLS[:7]
+_ZERO = {pa.int64(): 0, pa.float64(): 0.0, pa.bool_(): False, pa.string(): ""}
+
+
+def _ledger_rows(rows: pa.Table, wave: int, **cols) -> pa.Table:
+    """Ledger rows for frontier ``rows``: the key columns come from
+    ``rows``, ``wave`` and the given outcome columns (arrays, or scalars
+    for every row) are set, and every other column is zero, "" or False."""
+    n = rows.num_rows
+    cols["wave"] = wave
+
+    def column(f: pa.Field):
+        if f.name in _LEDGER_KEYS:
+            return rows.column(f.name)
+        v = cols.get(f.name, _ZERO[f.type])
+        return pa.array(v, f.type) if np.ndim(v) else pa.repeat(pa.scalar(v, f.type), n)
+
+    return pa.Table.from_arrays([column(f) for f in LEDGER_SCHEMA], schema=LEDGER_SCHEMA)
 
 
 # CrawlStats counter -> the ledger bool column it counts.  Every ledger
@@ -149,18 +187,7 @@ _LEDGER_COUNTS_KEY = b"ledger_counts"
 def _write_ledger_part(tbl: pa.Table, path: str) -> None:
     """Write one ledger partition with its counter sums in the footer."""
     counts = {k: int(pc.sum(tbl.column(c)).as_py() or 0) for k, c in LEDGER_COUNTERS.items()}
-    meta = {**(tbl.schema.metadata or {}), _LEDGER_COUNTS_KEY: json.dumps(counts).encode()}
-    pq.write_table(tbl.replace_schema_metadata(meta), path)
-
-
-def _frontier_table(df: pd.DataFrame) -> pa.Table:
-    return pa.Table.from_pandas(
-        df[FRONTIER_SCHEMA.names], schema=FRONTIER_SCHEMA, preserve_index=False
-    ).replace_schema_metadata(None)
-
-
-def _write_frontier_part(df: pd.DataFrame, path: str) -> None:
-    pq.write_table(_frontier_table(df), path)
+    pq.write_table(tbl.replace_schema_metadata({_LEDGER_COUNTS_KEY: json.dumps(counts)}), path)
 
 
 def _wave_counts(ledger_dir: str) -> dict[str, int]:
@@ -172,14 +199,6 @@ def _wave_counts(ledger_dir: str) -> dict[str, int]:
             for k, v in json.loads(meta[_LEDGER_COUNTS_KEY]).items():
                 total[k] += v
     return total
-
-
-def empty_ledger_df(columns: list[str] | None = None) -> pd.DataFrame:
-    """Zero-row ledger frame with the REAL column dtypes (a 0-wave crawl
-    must not hand consumers an all-object schema)."""
-    return pd.DataFrame(
-        {c: pd.Series(dtype=LEDGER_DTYPES[c]) for c in (columns or LEDGER_META_COLS)}
-    )
 
 
 @dataclass
@@ -213,34 +232,50 @@ def _get_model(lexicon_ref, cfg: CrawlConfig) -> LangScoringModel:
     return _MODEL_CACHE[1]
 
 
+def _codes(col: pa.ChunkedArray) -> np.ndarray:
+    """Dense integer codes of a string column from one hash pass; codes
+    number the distinct values in order of first appearance."""
+    return pc.dictionary_encode(col.combine_chunks()).indices.to_numpy()
+
+
 # ---------------------------------------------------------------------------
 # per-wave stages
 # ---------------------------------------------------------------------------
 
 def admit_route(
-    frontier: pd.DataFrame, k: int, wave: int, part: int, next_frontier: str, ledger_dir: str
-) -> pd.DataFrame:
+    frontier: pa.Table, k: int, wave: int, part: int, next_frontier: str, ledger_dir: str
+) -> pa.Table:
     """Admission over one frontier partition: politeness mark, then route —
     deferred rows to ``next_frontier/deferred-pNNN.parquet``, relative/robots
     rows to ``ledger_dir/norun-pNNN.parquet``, to-fetch rows back to the
     caller.  Every row of a host must be in this partition, so the per-host
     budget is exact.  Deterministic file names make a re-run idempotent."""
-    g = frontier.sort_values(
-        ["priority", "seq"], ascending=[False, True], kind="mergesort"
+    g = frontier.sort_by([("priority", "descending"), ("seq", "ascending")])
+    # rank of each row within its host, in that order: one stable argsort
+    # of the host codes, minus the position where each host's run starts
+    host = _codes(g.column("host"))
+    by_host = np.argsort(host, kind="stable")
+    sorted_host = host[by_host]
+    rank = np.empty(len(host), dtype=np.int64)
+    rank[by_host] = np.arange(len(host)) - np.searchsorted(sorted_host, sorted_host)
+    admit = rank < k
+    pq.write_table(
+        g.filter(~admit).select(FRONTIER_SCHEMA.names),
+        os.path.join(next_frontier, f"deferred-p{part:03d}.parquet"),
     )
-    admit = (g.groupby("host").cumcount() < k).to_numpy(bool)
-    _write_frontier_part(g.loc[~admit], os.path.join(next_frontier, f"deferred-p{part:03d}.parquet"))
-    adm = g.loc[admit]
-    rel = adm["is_rel"].to_numpy(bool)
-    rob = adm["robots_blocked"].to_numpy(bool)
+    adm = g.filter(admit)
+    rel = adm.column("is_rel").to_numpy()
+    rob = adm.column("robots_blocked").to_numpy()
     norun = rel | rob
     if norun.any():
-        rows = _norun_ledger_rows(adm.loc[norun], wave, rel[norun], rob[norun])
         _write_ledger_part(
-            pa.Table.from_pandas(rows, preserve_index=False),
+            _ledger_rows(
+                adm.filter(norun), wave,
+                handled=True, skipped_relative=rel[norun], robots_blocked=rob[norun],
+            ),
             os.path.join(ledger_dir, f"norun-p{part:03d}.parquet"),
         )
-    return adm.loc[~norun]
+    return adm.filter(~norun)
 
 
 def _wave_task(pages_dir: str, lexicon_ref, cfg: CrawlConfig, wave: int, ledger_dir: str, robots_actors=None, fetcher=None):
@@ -248,17 +283,14 @@ def _wave_task(pages_dir: str, lexicon_ref, cfg: CrawlConfig, wave: int, ledger_
     partitioned fetch join -> extract/score -> write this bucket's ledger
     partition (resumable layout: ledger/wave=N/part-bKKK-sSSSSSSSSS.parquet,
     idempotent overwrite).  Then per-wave-task prep: explode the links of
-    every bucket once and prepare them as one candidate frame (excluded
+    every bucket once and prepare them as one candidate table (excluded
     filter, canon/sha1/md5/host/bucket, one robots RPC).
 
-    Arrow-native: the streamed path hands the batch in as a zero-copy
-    pyarrow Table (``batch_format="pyarrow"``); the driver path's raw tasks
-    hand in the admitted pandas rows (slim frontier columns), which are
-    converted once.  The page-table html bytes go straight from the
-    Parquet read into the scorer, and the ledger partition is written as an
-    Arrow table — the wide binary/text payloads never pass through pandas
-    object columns.  Only the small prepared candidate rows (urls + hashes
-    + ints) come out as a DataFrame.
+    The returned ``fn`` takes admitted frontier rows and returns prepared
+    candidate rows, both as ``pa.Table``: the streamed path hands it
+    zero-copy batches (``batch_format="pyarrow"``), the driver path's raw
+    tasks their packed blocks.  The page-table html bytes go straight from
+    the Parquet read into the scorer.
 
     Fusing the chain keeps each wave at a single Ray Data execution and a
     single driver pull of *prepared candidate* rows, which is what makes the
@@ -281,8 +313,6 @@ def _wave_task(pages_dir: str, lexicon_ref, cfg: CrawlConfig, wave: int, ledger_
         model = _get_model(lexicon_ref, cfg)
         n = len(urls)
         downloaded = np.zeros(n, dtype=bool)
-        failed = np.zeros(n, dtype=bool)
-        handled = np.zeros(n, dtype=bool)
         rejected = np.zeros(n, dtype=bool)
         doc_type = np.full(n, "", dtype=object)
         file_hash = np.full(n, "", dtype=object)
@@ -297,8 +327,7 @@ def _wave_task(pages_dir: str, lexicon_ref, cfg: CrawlConfig, wave: int, ledger_
         for i, u in enumerate(urls):
             hit = web.get(u)
             if hit is None or not isinstance(hit[0], (bytes, bytearray)):
-                failed[i] = True  # miss -> failed fetch
-                links[i] = []
+                links[i] = []  # miss -> failed fetch
                 continue
             html, ct = hit
             downloaded[i] = True
@@ -322,7 +351,6 @@ def _wave_task(pages_dir: str, lexicon_ref, cfg: CrawlConfig, wave: int, ledger_
                 links[i] = []
             text_col[i] = text
             sr = model.score_text(text)
-            handled[i] = True
             full_lang[i] = sr.full_lang or ""
             full_conf[i] = sr.full_conf
             para_count[i] = sr.para_count
@@ -330,32 +358,14 @@ def _wave_task(pages_dir: str, lexicon_ref, cfg: CrawlConfig, wave: int, ledger_
             para_perc[i] = sr.para_perc_lrl
             rejected[i] = sr.rejected
 
-        ledger_tbl = pa.table(
-            {
-                "seq": tbl.column("seq"),
-                "url": tbl.column("url"),
-                "url_hash": tbl.column("url_hash"),
-                "canon_sha1": tbl.column("canon_sha1"),
-                "host": tbl.column("host"),
-                "query_id": tbl.column("query_id"),
-                "engine": tbl.column("engine"),
-                "wave": pa.array(np.full(n, wave, dtype=np.int64)),
-                "downloaded": pa.array(downloaded),
-                "downloaded_failed": pa.array(failed),
-                "handled": pa.array(handled),
-                "skipped_relative": pa.array(np.zeros(n, dtype=bool)),
-                "robots_blocked": pa.array(np.zeros(n, dtype=bool)),
-                "doc_type": pa.array(doc_type, type=pa.string()),
-                "file_hash": pa.array(file_hash, type=pa.string()),
-                "text": pa.array(text_col, type=pa.string()),
-                "nlp_full_lang": pa.array(full_lang, type=pa.string()),
-                "nlp_full_confidence": pa.array(full_conf),
-                "nlp_para_count": pa.array(para_count),
-                "nlp_para_count_lrl": pa.array(para_lrl),
-                "nlp_para_perc_lrl": pa.array(para_perc),
-                "rejected": pa.array(rejected),
-            }
-        ).select(LEDGER_META_COLS)
+        ledger_tbl = _ledger_rows(
+            tbl, wave,
+            downloaded=downloaded, downloaded_failed=~downloaded, handled=downloaded,
+            doc_type=doc_type, file_hash=file_hash, text=text_col,
+            nlp_full_lang=full_lang, nlp_full_confidence=full_conf,
+            nlp_para_count=para_count, nlp_para_count_lrl=para_lrl,
+            nlp_para_perc_lrl=para_perc, rejected=rejected,
+        )
         # filename carries the slice's min seq: on the streamed path a
         # bucket's rows may arrive split across blocks, and two disjoint
         # slices always have distinct minima — so names never collide and a
@@ -367,15 +377,13 @@ def _wave_task(pages_dir: str, lexicon_ref, cfg: CrawlConfig, wave: int, ledger_
         )
         return links
 
-    def fn(batch) -> pd.DataFrame:
-        if isinstance(batch, pd.DataFrame):  # the driver path's raw tasks
-            batch = pa.Table.from_pandas(batch, preserve_index=False)
+    def fn(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
-            return _empty_candidates_df()
+            return CANDIDATE_SCHEMA.empty_table()
         buckets = batch.column("bucket").to_numpy()
         if (buckets[1:] < buckets[:-1]).any():
             order = np.argsort(buckets, kind="stable")
-            batch = batch.take(pa.array(order))
+            batch = batch.take(order)
             buckets = buckets[order]
         bounds = np.flatnonzero(np.r_[True, buckets[1:] != buckets[:-1], True])
         # fetch, score and the ledger write stay per bucket; the links come
@@ -389,11 +397,11 @@ def _wave_task(pages_dir: str, lexicon_ref, cfg: CrawlConfig, wave: int, ledger_
         counts = np.fromiter(map(len, links), dtype=np.int64, count=len(links))
         total = int(counts.sum())
         starts = np.cumsum(counts) - counts
-        cand = pd.DataFrame(
+        cand = pa.table(
             {
-                "url": pd.Series([h for l in links for h in l], dtype="object"),
+                "url": pa.array([h for l in links for h in l], pa.string()),
                 "query_id": np.repeat(batch.column("query_id").to_numpy(), counts),
-                "engine": pd.Series(["link"] * total, dtype="object"),
+                "engine": pa.repeat(pa.scalar("link"), total),
                 "ord1": np.repeat(batch.column("seq").to_numpy(), counts),
                 "ord2": np.arange(total, dtype=np.int64) - np.repeat(starts, counts),
             }
@@ -403,101 +411,70 @@ def _wave_task(pages_dir: str, lexicon_ref, cfg: CrawlConfig, wave: int, ledger_
     return fn
 
 
-# prepared candidate rows (what a wave task returns and insertion takes):
-# the frontier columns, with (parent seq, link index) in place of seq
-CANDIDATE_SCHEMA = pa.schema(
-    [("ord1", pa.int64()), ("ord2", pa.int64()), *(f for f in FRONTIER_SCHEMA if f.name != "seq")]
-)
-
-
-def _empty_candidates_df() -> pd.DataFrame:
-    return CANDIDATE_SCHEMA.empty_table().to_pandas()
-
-
-def _norun_ledger_rows(df: pd.DataFrame, wave: int, relative: np.ndarray, robots: np.ndarray) -> pd.DataFrame:
-    """Ledger rows for admitted URLs that never fetch (relative / robots)."""
-    out = df.copy()
-    out["wave"] = np.int64(wave)
-    out["downloaded"] = False
-    out["downloaded_failed"] = False
-    out["handled"] = True
-    out["skipped_relative"] = relative
-    out["robots_blocked"] = robots
-    out["doc_type"] = ""
-    out["file_hash"] = ""
-    out["text"] = ""
-    out["nlp_full_lang"] = ""
-    out["nlp_full_confidence"] = 0.0
-    out["nlp_para_count"] = np.int64(0)
-    out["nlp_para_count_lrl"] = np.int64(0)
-    out["nlp_para_perc_lrl"] = 0.0
-    out["rejected"] = False
-    return out[LEDGER_META_COLS]
-
-
-def pending_ledger_rows(pending: pd.DataFrame) -> pd.DataFrame:
-    """Still-pending frontier rows as ledger rows: wave=-1 and every flag
-    false, matching the oracle's ledger of inserted-but-never-run rows."""
-    zeros = np.zeros(len(pending), dtype=bool)
-    rows = _norun_ledger_rows(pending, -1, zeros, zeros)
-    rows["handled"] = False
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # candidate insertion (excluded filter -> dedup -> seen -> seq assignment)
 # ---------------------------------------------------------------------------
 
-def _prepare_candidates(
-    df: pd.DataFrame, cfg: CrawlConfig, robots_actors=None
-) -> pd.DataFrame:
+def _prepare_candidates(cand: pa.Table, cfg: CrawlConfig, robots_actors=None) -> pa.Table:
     """Vectorized: drop excluded, add canon/sha1/md5/host/bucket columns plus
-    the pre-evaluated admission gates (is_rel, robots_blocked).
+    the pre-evaluated admission gates (is_rel, robots_blocked).  Takes
+    (url, query_id, engine, ord1, ord2[, priority]) rows, returns
+    CANDIDATE_SCHEMA rows.
 
     Gate precomputation here — inside the distributed wave task — is what
     keeps the per-wave driver section flat: every candidate is gated exactly
     once at insertion instead of re-parsed on the driver at admission."""
-    if len(df) == 0:
-        return _empty_candidates_df()
-    urls = df["url"].to_numpy()
+    urls = cand.column("url").to_numpy(zero_copy_only=False)
     keep = ~excluded_mask_batch(urls, cfg.excluded_domains)
-    df = df.loc[keep].copy()
-    if len(df) == 0:
-        return _empty_candidates_df()
-    urls = df["url"].to_numpy()
-    canon = canonicalize_batch(urls)
-    sha1 = sha1_batch(canon)
-    df["canon_sha1"] = sha1
-    df["url_hash"] = md5_batch(urls)
-    df["host"] = host_batch(urls)
-    df["bucket"] = host_bucket_batch(df["host"].to_numpy(), cfg.num_url_buckets)
+    cand, urls = cand.filter(keep), urls[keep]
+    host = host_batch(urls)
     rel = relative_mask_batch(urls)
-    df["is_rel"] = rel
-    blocked = np.zeros(len(df), dtype=bool)
+    blocked = np.zeros(len(urls), dtype=bool)
     absolute = ~rel
     if cfg.apply_robots and robots_actors and absolute.any():
         # relative links never fetch: only absolute ones ask the robots cache
         blocked[absolute] = robots_blocked_mask(robots_actors, list(urls[absolute]))
-    df["robots_blocked"] = blocked
-    if "priority" not in df.columns:  # seeds may carry their own priority
-        df["priority"] = np.int64(cfg.link_priority)
-    return df
+    return pa.table(
+        {
+            "ord1": cand.column("ord1"),
+            "ord2": cand.column("ord2"),
+            "url": urls,
+            "url_hash": md5_batch(urls),
+            "canon_sha1": sha1_batch(canonicalize_batch(urls)),
+            "host": host,
+            "bucket": host_bucket_batch(host, cfg.num_url_buckets),
+            "query_id": cand.column("query_id"),
+            "engine": cand.column("engine"),
+            "is_rel": rel,
+            "robots_blocked": blocked,
+            # seeds may carry their own priority
+            "priority": (
+                cand.column("priority") if "priority" in cand.column_names
+                else np.full(len(urls), cfg.link_priority, dtype=np.int64)
+            ),
+        },
+        schema=CANDIDATE_SCHEMA,
+    )
 
 
-def insert_probe(cand: pd.DataFrame, seen_shards) -> pd.DataFrame:
-    """Insertion, first half, over PREPARED candidates (columns of
-    _empty_candidates_df; prep happens inside the wave task): within-wave
-    dedup — first occurrence by (ord1, ord2) — then one READ-ONLY seen
-    probe.  Returns the new rows in (ord1, ord2) order.  A Ray task retry
-    re-probes and gets the same verdicts: no state is mutated here."""
-    cand = cand.sort_values(["ord1", "ord2"], kind="mergesort")
-    cand = cand.drop_duplicates(subset=["canon_sha1"], keep="first")
-    if len(cand) == 0:
+def insert_probe(cand: pa.Table, seen_shards) -> pa.Table:
+    """Insertion, first half, over PREPARED candidates (CANDIDATE_SCHEMA
+    columns, plus any the caller carries along; prep happens inside the
+    wave task): within-wave dedup — first occurrence by (ord1, ord2) — then
+    one READ-ONLY seen probe.  Returns the new rows in (ord1, ord2) order.
+    A Ray task retry re-probes and gets the same verdicts: no state is
+    mutated here."""
+    cand = cand.sort_by([("ord1", "ascending"), ("ord2", "ascending")])
+    # codes number the keys in first-seen order, so the first-occurrence
+    # indices come out ascending: row order is kept
+    _, first = np.unique(_codes(cand.column("canon_sha1")), return_index=True)
+    cand = cand.take(first)
+    if cand.num_rows == 0:
         return cand
-    return cand.loc[seen_probe_new(seen_shards, hex_to_digests(cand["canon_sha1"].to_numpy()))]
+    return cand.filter(seen_probe_new(seen_shards, hex_to_digests(cand.column("canon_sha1").to_pylist())))
 
 
-def insert_commit(new: pd.DataFrame, seq: np.ndarray, max_pages: int, path: str, seen_shards) -> int:
+def insert_commit(new: pa.Table, seq: np.ndarray, max_pages: int, path: str, seen_shards) -> int:
     """Insertion, second half: give ``new`` its global ``seq``, cut at the
     ``max_pages`` budget, write the survivors as the next-frontier partition
     ``path``, then seen-mark exactly those rows.  Returns their count.
@@ -508,35 +485,23 @@ def insert_commit(new: pd.DataFrame, seq: np.ndarray, max_pages: int, path: str,
     half of the probe/add split: the file rewrite is deterministic and
     add_blob is an idempotent set union, so a retried task cannot corrupt
     state."""
-    new = new.assign(seq=seq)
+    new = new.append_column("seq", pa.array(seq, pa.int64()))
     if max_pages:  # global insertion budget: only seqs < max_pages exist
-        new = new.loc[new["seq"] < max_pages]
-    _write_frontier_part(new, path)
-    if len(new):
-        seen_add(seen_shards, hex_to_digests(new["canon_sha1"].to_numpy()))
-    return len(new)
+        new = new.filter(seq < max_pages)
+    pq.write_table(new.select(FRONTIER_SCHEMA.names), path)
+    if new.num_rows:
+        seen_add(seen_shards, hex_to_digests(new.column("canon_sha1").to_pylist()))
+    return new.num_rows
 
 
-def _insert_one_part(cand: pd.DataFrame, seen_shards, base_seq: int, cfg: CrawlConfig, frontier_dir: str) -> int:
+def _insert_one_part(cand: pa.Table, seen_shards, base_seq: int, cfg: CrawlConfig, frontier_dir: str) -> int:
     """Both insertion halves over one partition (seed insertion and the
     driver-path wave): seqs are ``base_seq`` + rank in (ord1, ord2) order."""
     new = insert_probe(cand, seen_shards)
     return insert_commit(
-        new, base_seq + np.arange(len(new), dtype=np.int64), cfg.max_pages,
+        new, base_seq + np.arange(new.num_rows, dtype=np.int64), cfg.max_pages,
         os.path.join(frontier_dir, "insert-p000.parquet"), seen_shards,
     )
-
-
-def _candidate_block(df: pd.DataFrame, *int_cols: str) -> pa.Table:
-    """Candidate rows plus int64 ``int_cols`` as an Arrow block of one fixed
-    schema.  Ray Data sizes a pandas block's object columns with
-    ``np.vectorize``, which raises on 0 rows and logs one error per column;
-    an Arrow block is sized from its buffers, and one schema for empty and
-    full blocks alike leaves Ray nothing to unify."""
-    schema = CANDIDATE_SCHEMA
-    for c in int_cols:
-        schema = schema.append(pa.field(c, pa.int64()))
-    return pa.Table.from_pandas(df, schema=schema, preserve_index=False).replace_schema_metadata(None)
 
 
 def _insert_streamed(
@@ -558,30 +523,29 @@ def _insert_streamed(
     rows never visit the driver; only the O(rank-buckets) histogram does.
     Returns the number of rows inserted."""
 
-    def add_part(b: pd.DataFrame) -> pa.Table:
-        mat = hex_to_digests(b["canon_sha1"].to_numpy())
+    def add_part(b: pa.Table) -> pa.Table:
+        mat = hex_to_digests(b.column("canon_sha1").to_pylist())
         # bytes 12:16 — independent of both the seen-shard bytes (trailing 4)
         # and the cuckoo bucket bytes (leading)
-        part = mat[:, 12:16].copy().view("<u4").ravel() % np.uint32(64)
-        return _candidate_block(b.assign(dedup_part=part.astype(np.int64)), "dedup_part")
+        part = mat[:, 12:16].copy().view("<u4").ravel() % np.uint32(_SHUFFLE_PARTS)
+        return b.append_column("dedup_part", pa.array(part.astype(np.int64)))
 
-    def dedup_probe_rank(g: pd.DataFrame) -> pa.Table:
+    def dedup_probe_rank(g: pa.Table) -> pa.Table:
         # keys register later, in assign_write, only for rows that insert
-        g = insert_probe(g.drop(columns=["dedup_part"]), seen_shards)
-        g = g.assign(rank_bucket=(g["ord1"] // _RANK_BUCKET).astype(np.int64))
+        g = insert_probe(g.drop_columns(["dedup_part"]), seen_shards)
+        rank_bucket = g.column("ord1").to_numpy() // _RANK_BUCKET
         # all rows of one rank_bucket land in one partition (the pattern:
-        # 64 group dispatches total, vectorized pandas inside — NOT one
+        # _SHUFFLE_PARTS group dispatches total, vectorized inside — NOT one
         # map_groups per rank bucket, which is ~100ms each at 10^3+ buckets)
-        g["rank_part"] = (
-            pd.util.hash_array(g["rank_bucket"].to_numpy(np.int64)) % 64
-        ).astype(np.int64)
-        return _candidate_block(g, "rank_bucket", "rank_part")
+        return g.append_column("rank_bucket", pa.array(rank_bucket)).append_column(
+            "rank_part", pa.array(rank_bucket % _SHUFFLE_PARTS)
+        )
 
     t0 = time.time()
     survivors = (
-        cand_ds.map_batches(add_part, batch_format="pandas")
+        cand_ds.map_batches(add_part, batch_format="pyarrow")
         .groupby("dedup_part")
-        .map_groups(dedup_probe_rank, batch_format="pandas")
+        .map_groups(dedup_probe_rank, batch_format="pyarrow")
         .materialize()
     )
     sections["exec_main"] = round(time.time() - t0, 3)
@@ -589,45 +553,44 @@ def _insert_streamed(
 
     # pass 1: per-batch rank-bucket histograms -> tiny driver merge -> prefix
     # offsets, broadcast back
-    def hist_partial(b: pd.DataFrame) -> pd.DataFrame:
-        vc = b["rank_bucket"].value_counts()
-        return pd.DataFrame({"rank_bucket": vc.index.to_numpy(np.int64),
-                             "n": vc.to_numpy(np.int64)})
+    def hist_partial(b: pa.Table) -> pa.Table:
+        rb, n = np.unique(b.column("rank_bucket").to_numpy(), return_counts=True)
+        return pa.table({"rank_bucket": rb, "n": n.astype(np.int64)})
 
-    hist = survivors.map_batches(hist_partial, batch_format="pandas").to_pandas()
+    hist = survivors.map_batches(hist_partial, batch_format="pyarrow").to_pandas()
     sections["exec_hist"] = round(time.time() - t0, 3)
     if len(hist) == 0:  # every candidate excluded / duplicate / already seen
         return 0
-    hist = hist.groupby("rank_bucket")["n"].sum().sort_index()
-    starts = np.cumsum(hist.to_numpy()) - hist.to_numpy()
-    offsets = dict(zip(hist.index.to_numpy(), starts))
-    offsets_ref = ray.put(offsets)
+    rb, inv = np.unique(hist["rank_bucket"].to_numpy(), return_inverse=True)
+    n = np.bincount(inv, weights=hist["n"].to_numpy()).astype(np.int64)
+    offsets_ref = ray.put(dict(zip(rb.tolist(), (np.cumsum(n) - n).tolist())))
     max_pages = cfg.max_pages
 
     # pass 2: per-partition vectorized local rank + broadcast global offset;
     # each rank partition writes its own frontier file — no driver pull
-    def assign_write(g: pd.DataFrame) -> pd.DataFrame:
+    def assign_write(g: pa.Table) -> pa.Table:
         offs = ray.get(offsets_ref)
-        part = int(g["rank_part"].iloc[0])
-        g = g.sort_values(["rank_bucket", "ord1", "ord2"], kind="mergesort")
-        counts = g.groupby("rank_bucket", sort=True).size()
-        seq = np.concatenate(
-            [offs[int(rb)] + np.arange(c, dtype=np.int64) for rb, c in counts.items()]
-        ) if len(counts) else np.empty(0, dtype=np.int64)
+        part = g.column("rank_part")[0].as_py()
+        g = g.sort_by([("rank_bucket", "ascending"), ("ord1", "ascending"), ("ord2", "ascending")])
+        rb, first, inv = np.unique(
+            g.column("rank_bucket").to_numpy(), return_index=True, return_inverse=True
+        )
+        start = np.array([offs[b] for b in rb.tolist()], dtype=np.int64)
+        seq = start[inv] + np.arange(g.num_rows) - first[inv]
         n = insert_commit(
             g, base_seq + seq, max_pages,
             os.path.join(write_dir, f"insert-p{part:03d}.parquet"), seen_shards,
         )
-        return pd.DataFrame({"n": [np.int64(n)]})
+        return pa.table({"n": pa.array([n], pa.int64())})
 
     t0 = time.time()
-    ns = (
+    inserted = (
         survivors.groupby("rank_part")
-        .map_groups(assign_write, batch_format="pandas")
-        .to_pandas()
+        .map_groups(assign_write, batch_format="pyarrow")
+        .sum("n")
     )
     sections["exec_assign"] = round(time.time() - t0, 3)
-    return int(ns["n"].sum()) if len(ns) else 0
+    return int(inserted or 0)
 
 
 def _clear_dir(path_dir: str) -> None:
@@ -649,14 +612,11 @@ def _frontier_row_count(path_dir: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the two wave executors: the same kernels on a driver frame or streamed
+# the two wave executors: the same kernels on a driver table or streamed
 # ---------------------------------------------------------------------------
 
-_SHUFFLE_PARTS = 64
-
-
 @ray.remote
-def _apply_wave_block(fn, blk: pd.DataFrame) -> pd.DataFrame:
+def _apply_wave_block(fn, blk: pa.Table) -> pa.Table:
     """One packed wave block through the fused fetch/score kernel (the
     raw-task dispatch of the driver-path wave)."""
     return fn(blk)
@@ -674,7 +634,7 @@ def _run_wave_driver(
     sections: dict,
     fetcher=None,
 ) -> int:
-    """One politeness wave with the frontier as a driver frame: admission
+    """One politeness wave with the frontier as a driver table: admission
     and insertion run as ONE partition; fetch/score runs as raw Ray tasks,
     one per cluster CPU, over LPT-packed bucket blocks.  Returns the number
     of rows inserted."""
@@ -693,36 +653,36 @@ def _run_wave_driver(
     # and writes its own ledger partition, then returns the block's
     # candidates from one per-wave-task prep (one robots RPC).
     #
-    # One block per cluster CPU: bucket groups are LPT-bin-packed
-    # (largest group to the lightest bin) and emitted largest-first, so no
-    # big block lands last and stretches the wave barrier.  More, smaller
-    # blocks measured slower on both benchmark workloads — each task pays
-    # dispatch and a robots RPC, and a tail wave is a few rows per bucket.
-    groups = [g for _, g in to_fetch.groupby("bucket", sort=True)]
+    # One block per cluster CPU: bucket groups (row indices, bucket order)
+    # are LPT-bin-packed (largest group to the lightest bin) and emitted
+    # largest-first, so no big block lands last and stretches the wave
+    # barrier.  More, smaller blocks measured slower on both benchmark
+    # workloads — each task pays dispatch and a robots RPC, and a tail wave
+    # is a few rows per bucket.
+    buckets = to_fetch.column("bucket").to_numpy()
+    order = np.argsort(buckets, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(buckets[order])) + 1) if len(order) else []
     nbins = min(max(1, int(ray.cluster_resources().get("CPU", 1))), len(groups))
-    bins: list[list[pd.DataFrame]] = [[] for _ in range(nbins)]
+    bins: list[list[np.ndarray]] = [[] for _ in range(nbins)]
     sizes = np.zeros(nbins, dtype=np.int64)
     for g in sorted(groups, key=len, reverse=True):
         i = int(sizes.argmin())
         bins[i].append(g)
         sizes[i] += len(g)
-    blocks = [pd.concat(bins[i], ignore_index=True) for i in np.argsort(-sizes, kind="stable")]
+    blocks = [to_fetch.take(np.concatenate(bins[i])) for i in np.argsort(-sizes, kind="stable")]
     sections["fs_pack"] = round(time.time() - t_sec, 3)
     t_fs = time.time()
     # raw-task scatter/gather: the blocks are already packed and sit on the
     # driver, and the wave is a fixed barrier — the shape a Dataset adds
     # nothing to but ~0.2 s of streaming-executor spin-up per execution.
-    # Gathering in submission order keeps the candidate frame's order
-    # deterministic.
     wave_fn = _wave_task(pages_dir, lexicon_ref, cfg, wave, ledger_dir, robots_actors, fetcher=fetcher)
     fn_ref = ray.put(wave_fn)  # serialize the closure once per wave
     parts = ray.get([_apply_wave_block.remote(fn_ref, b) for b in blocks])
     sections["fs_exec"] = round(time.time() - t_fs, 3)
-    parts = [p for p in parts if len(p)]
-    cand_df = pd.concat(parts, ignore_index=True) if parts else _empty_candidates_df()
+    cand = pa.concat_tables(parts) if parts else CANDIDATE_SCHEMA.empty_table()
     sections["fetch_score"] = round(time.time() - t_sec, 3)
     t_sec = time.time()
-    inserted = _insert_one_part(cand_df, seen_shards, next_seq, cfg, next_frontier)
+    inserted = _insert_one_part(cand, seen_shards, next_seq, cfg, next_frontier)
     sections["insert"] = round(time.time() - t_sec, 3)
     return inserted
 
@@ -740,7 +700,7 @@ def _run_wave_streamed(
     fetcher=None,
 ) -> int:
     """One politeness wave as Datasets end-to-end.  The driver never holds a
-    frontier frame: admission partitions route deferred rows and norun ledger
+    frontier table: admission partitions route deferred rows and norun ledger
     rows straight to their next-wave partition files, to-fetch rows flow into
     the fused fetch/score/ledger-write stage, and insertion writes the new
     frontier rows from its rank tasks.  Driver traffic per wave: the
@@ -764,36 +724,29 @@ def _run_wave_streamed(
     prev_max_block = ctx.target_max_block_size
     ctx.target_max_block_size = 1 << 20
 
-    def add_admit_part(b: pd.DataFrame) -> pd.DataFrame:
-        if len(b) == 0:
-            return b.assign(admit_part=pd.Series(dtype="int64"))
-        b = b.copy()
-        b["admit_part"] = (
-            b["bucket"].to_numpy(np.int64) % nparts
-        ).astype(np.int64)
-        return b
+    def add_admit_part(b: pa.Table) -> pa.Table:
+        return b.append_column(
+            "admit_part", pa.array(b.column("bucket").to_numpy().astype(np.int64) % nparts)
+        )
 
-    def admit_part(g: pd.DataFrame) -> pa.Table:
-        # Arrow out, one schema even at 0 rows (see _candidate_block)
-        return _frontier_table(admit_route(
-            g, cfg.per_host_per_wave, wave,
-            int(g["admit_part"].iloc[0]), next_frontier, ledger_dir,
-        ))
+    def admit_part(g: pa.Table) -> pa.Table:
+        return admit_route(
+            g.drop_columns(["admit_part"]), cfg.per_host_per_wave, wave,
+            g.column("admit_part")[0].as_py(), next_frontier, ledger_dir,
+        )
 
     wave_fn = _wave_task(pages_dir, lexicon_ref, cfg, wave, ledger_dir, robots_actors, fetcher=fetcher)
 
     candidates = (
         ray.data.read_parquet(ckpt.wave_dir(out_dir, "frontier", wave))
-        .map_batches(add_admit_part, batch_format="pandas")
+        .map_batches(add_admit_part, batch_format="pyarrow")
         .groupby("admit_part")
-        .map_groups(admit_part, batch_format="pandas")
+        .map_groups(admit_part, batch_format="pyarrow")
         # admission output is already bucket-aligned (admit_part = bucket %
         # nparts): the fused fetch/score stage consumes it block-by-block as
         # zero-copy Arrow, slicing per exact bucket inside the task — no
         # second shuffle
-        .map_batches(
-            lambda b: _candidate_block(wave_fn(b)), batch_format="pyarrow", batch_size=None
-        )
+        .map_batches(wave_fn, batch_format="pyarrow", batch_size=None)
     )
     try:
         return _insert_streamed(candidates, seen_shards, next_seq, cfg, next_frontier, sections)
@@ -815,10 +768,21 @@ def run_crawl(
     """Run the full crawl; requires ray to be initialised by the caller.
 
     ``fetcher`` plugs the page-acquisition seam (sources/fetch.py):
-    default = bucket-pruned page-table reads (PageTableFetcher); pass an
-    HttpFetcher for live urllib fetches against a real / mirrored web."""
+    default = bucket-pruned page-table reads (PageTableFetcher), whose page
+    table must hold ``cfg.num_url_buckets`` bucket files (ValueError
+    otherwise); pass an HttpFetcher for live urllib fetches against a real /
+    mirrored web."""
     cfg = cfg or CrawlConfig()
     pages_dir = os.path.join(corpus_dir, "pages")
+    if fetcher is None:
+        # a page table bucketed by another count sends most URLs to the
+        # wrong bucket file, where they read as failed fetches
+        n = sum(f.startswith("bucket=") and f.endswith(".parquet") for f in os.listdir(pages_dir))
+        if n != cfg.num_url_buckets:
+            raise ValueError(
+                f"page table {pages_dir} has {n} bucket files, "
+                f"but num_url_buckets is {cfg.num_url_buckets}"
+            )
     robots_path = os.path.join(corpus_dir, "robots.parquet") if cfg.apply_robots else None
     stats = CrawlStats()
     t0 = time.time()
@@ -846,23 +810,24 @@ def run_crawl(
         wave = 0
         # --- seed insertion (reference: query-gen + search stage seeds the
         # urls table in id order; here the seed list is the frontier bootstrap)
-        seeds = pq.read_table(os.path.join(corpus_dir, "seeds.parquet")).to_pandas()
-        seeds = seeds.sort_values("seq", kind="mergesort")
-        cand = pd.DataFrame(
+        seeds = pq.read_table(os.path.join(corpus_dir, "seeds.parquet"))
+        zeros = np.zeros(seeds.num_rows, dtype=np.int64)
+        cand = pa.table(
             {
-                "url": seeds["url"],
-                "query_id": seeds["query_id"].astype(np.int64),
-                "engine": seeds["engine"],
-                "ord1": seeds["seq"].astype(np.int64),
-                "ord2": np.int64(0),
+                "url": seeds.column("url"),
+                "query_id": seeds.column("query_id").cast(pa.int64()),
+                "engine": seeds.column("engine"),
+                "ord1": seeds.column("seq").cast(pa.int64()),
+                "ord2": zeros,
+                # seeds default to priority 0 (they are not links —
+                # cfg.link_priority must not apply, or engine and oracle
+                # diverge for link_priority != 0)
+                "priority": (
+                    seeds.column("priority").cast(pa.int64())
+                    if "priority" in seeds.column_names
+                    else zeros
+                ),
             }
-        )
-        # seeds default to priority 0 (they are not links — cfg.link_priority
-        # must not apply, or engine and oracle diverge for link_priority != 0)
-        cand["priority"] = (
-            seeds["priority"].astype(np.int64)
-            if "priority" in seeds.columns
-            else np.int64(0)
         )
         frontier0 = ckpt.wave_dir(out_dir, "frontier", 0)
         _clear_dir(frontier0)
@@ -926,9 +891,9 @@ def run_crawl(
     return stats
 
 
-def _read_frontier(path_dir: str) -> pd.DataFrame:
-    """One wave's frontier partition files as one driver frame."""
-    return pq.read_table(path_dir).to_pandas()
+def _read_frontier(path_dir: str) -> pa.Table:
+    """One wave's frontier partition files as one driver table."""
+    return pq.read_table(path_dir)
 
 
 def load_ledger(out_dir: str, include_pending: bool = True) -> pd.DataFrame:
@@ -939,26 +904,14 @@ def load_ledger(out_dir: str, include_pending: bool = True) -> pd.DataFrame:
     rows."""
     import glob
 
-    parts = sorted(glob.glob(os.path.join(out_dir, "ledger", "wave=*", "*.parquet")))
-    if parts:
-        import pyarrow.dataset as pads
+    import pyarrow.dataset as pads
 
-        # multithreaded C++ scan across the many per-bucket partition files
-        ledger = pads.dataset(parts, format="parquet").to_table().to_pandas()
-    else:
-        ledger = empty_ledger_df()
+    parts = sorted(glob.glob(os.path.join(out_dir, "ledger", "wave=*", "*.parquet")))
+    # multithreaded C++ scan across the many per-bucket partition files
+    tables = [pads.dataset(parts, format="parquet", schema=LEDGER_SCHEMA).to_table()]
     if include_pending:
         fdirs = sorted(glob.glob(os.path.join(out_dir, "frontier", "wave=*")))
         if fdirs:
-            pend = _read_frontier(fdirs[-1])
-            if len(pend):
-                rows = pending_ledger_rows(pend)
-                # skip empty frames in the concat (pandas deprecation: empty
-                # entries would otherwise influence result dtypes)
-                ledger = (
-                    pd.concat([ledger, rows], ignore_index=True)
-                    if len(ledger)
-                    else rows
-                )
-    ledger = ledger.sort_values("seq", kind="mergesort").reset_index(drop=True)
-    return ledger[LEDGER_META_COLS]
+            tables.append(_ledger_rows(_read_frontier(fdirs[-1]), -1))
+    ledger = pa.concat_tables(tables).sort_by("seq")
+    return ledger.to_pandas()

@@ -39,42 +39,22 @@ def ledger_dataset(
     flags false (matching frontier.load_ledger's driver-frame semantics)."""
     import glob
 
-    from ..frontier import LEDGER_META_COLS, empty_ledger_df, pending_ledger_rows
+    import pyarrow.parquet as pq
 
+    from ..frontier import LEDGER_SCHEMA, _ledger_rows
+
+    want = columns or LEDGER_SCHEMA.names
     parts = sorted(glob.glob(os.path.join(out_dir, "ledger", "wave=*", "*.parquet")))
     if parts:
         ds = ray.data.read_parquet(parts, columns=columns)
     else:  # pending-only output (0 waves ran): zero-row ledger, REAL dtypes
-        ds = ray.data.from_pandas(empty_ledger_df(columns))
+        ds = ray.data.from_arrow(LEDGER_SCHEMA.empty_table().select(want))
     if include_pending:
         fdirs = sorted(glob.glob(os.path.join(out_dir, "frontier", "wave=*")))
         ffiles = sorted(glob.glob(os.path.join(fdirs[-1], "*.parquet"))) if fdirs else []
-        import pyarrow.parquet as pq
-
         if ffiles and sum(pq.read_metadata(f).num_rows for f in ffiles):
-            want = columns or LEDGER_META_COLS
-            # emit the pending rows in the SAME Arrow schema as the parquet
-            # side of the union — a pandas-flavor branch here makes Ray log
-            # "RefBundle with a different schema" on every union
-            arrow_schema = None
-            if parts:
-                import pyarrow as pa
-
-                lsch = pq.read_schema(parts[0])
-                arrow_schema = pa.schema([lsch.field(c) for c in want])
-
-            def to_ledger_rows(b: pd.DataFrame):
-                rows = pending_ledger_rows(b)[want]
-                if arrow_schema is None:
-                    return rows
-                import pyarrow as pa
-
-                return pa.Table.from_pandas(
-                    rows, schema=arrow_schema, preserve_index=False
-                )
-
             pend = ray.data.read_parquet(ffiles).map_batches(
-                to_ledger_rows, batch_format="pandas"
+                lambda b: _ledger_rows(b, -1).select(want), batch_format="pyarrow"
             )
             ds = ds.union(pend)
     return ds

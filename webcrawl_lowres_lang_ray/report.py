@@ -16,15 +16,6 @@ import ray.data
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
 
-def ledger_dataset(out_dir: str) -> "ray.data.Dataset":
-    import glob
-    import os
-
-    return ray.data.read_parquet(
-        sorted(glob.glob(os.path.join(out_dir, "ledger", "wave=*", "*.parquet")))
-    )
-
-
 def partitioned_key_counts(
     ds: "ray.data.Dataset", key: str, parts: int = 64
 ) -> "ray.data.Dataset":
@@ -55,9 +46,10 @@ def partitioned_key_counts(
 
 def verdict_counts(ledger: "ray.data.Dataset") -> pd.DataFrame:
     """G3/G4 (sql.py:369-405): counts per full-language verdict."""
+    # reindex: a grouped aggregate over an empty ledger has no columns
     out = (
         ledger.groupby("nlp_full_lang").aggregate(Count(alias_name="n")).to_pandas()
-    )
+    ).reindex(columns=["nlp_full_lang", "n"])
     return out.sort_values("nlp_full_lang").reset_index(drop=True)
 
 
@@ -81,7 +73,10 @@ def outcome_counts(ledger: "ray.data.Dataset") -> pd.DataFrame:
         ledger.map_batches(flags, batch_format="pandas")
         .sum(["downloaded", "failed", "skipped_relative", "robots_blocked", "rejected", "total"])
     )
-    return pd.DataFrame([agg]).rename(columns=lambda c: c.replace("sum(", "").replace(")", ""))
+    # each sum is None over an empty ledger
+    return pd.DataFrame([{k: int(v or 0) for k, v in agg.items()}]).rename(
+        columns=lambda c: c.replace("sum(", "").replace(")", "")
+    )
 
 
 def dup_url_hash_stats(ledger: "ray.data.Dataset", top: int = 5) -> pd.DataFrame:
@@ -156,6 +151,8 @@ def confidence_histogram(ledger: "ray.data.Dataset") -> pd.DataFrame:
     buck = ledger.map_batches(bucketize, batch_format="pandas")
     conf = buck.groupby("conf_decile").aggregate(Count(alias_name="n_conf")).to_pandas()
     perc = buck.groupby("perc_decile").aggregate(Count(alias_name="n_perc")).to_pandas()
+    conf = conf.reindex(columns=["conf_decile", "n_conf"])
+    perc = perc.reindex(columns=["perc_decile", "n_perc"])
     conf = conf.rename(columns={"conf_decile": "decile"})
     perc = perc.rename(columns={"perc_decile": "decile"})
     return conf.merge(perc, on="decile", how="outer").fillna(0).sort_values("decile").reset_index(drop=True)
@@ -193,13 +190,15 @@ def engine_breakdown(ledger: "ray.data.Dataset") -> pd.DataFrame:
             Sum("failed", alias_name="failed"),
             Sum("rejected", alias_name="rejected"),
         )
-    ).to_pandas()
+    ).to_pandas().reindex(columns=["engine", "n", "downloaded", "failed", "rejected"])
     return out.sort_values("engine").reset_index(drop=True)
 
 
 def full_report(out_dir: str) -> dict[str, pd.DataFrame]:
     """The display.stats equivalent: every report over one ledger read."""
-    led = ledger_dataset(out_dir).materialize()
+    from .pipelines.crawl_queries import ledger_dataset
+
+    led = ledger_dataset(out_dir, include_pending=False).materialize()
     return {
         "verdict_counts": verdict_counts(led),
         "outcome_counts": outcome_counts(led),
