@@ -13,6 +13,11 @@ Runs the sf0.1-sized crawl three ways in ONE Ray session:
 and asserts the resumed ledger is hash-identical to the uninterrupted one
 (order-insensitive md5 over all rows of every ledger column, text included).
 
+The three crawls share one state actor: each finished crawl releases it and
+the next resets it (state/seen.py ``create_seen_shards``).  So the check
+also covers that reset: an actor that kept the full run's seen set would
+see every seed of the killed run as already crawled.
+
     python scripts/kill_resume_check.py [--pages 300000] [--cpus N]
                                         [--kill-waves 4]
 

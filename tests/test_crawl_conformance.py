@@ -75,6 +75,24 @@ def _assert_ledger_equal(eng: pd.DataFrame, orc: pd.DataFrame):
         )
 
 
+def _count_state_actors(monkeypatch) -> list:
+    """From now on, every state actor a crawl creates is appended to the
+    returned list (an actor taken from the idle slot is not)."""
+    import webcrawl_lowres_lang_ray.state.seen as seen
+
+    created = []
+    actor_cls = seen.SeenShardsAndRobots
+
+    class Counting:
+        @staticmethod
+        def remote(*a, **kw):
+            created.append(actor_cls.remote(*a, **kw))
+            return created[-1]
+
+    monkeypatch.setattr(seen, "SeenShardsAndRobots", Counting)
+    return created
+
+
 @pytest.mark.usefixtures("ray_session")
 class TestCrawlConformance:
     def test_ledger_matches_oracle(self, tiny_corpus, tmp_path, monkeypatch):
@@ -249,21 +267,15 @@ class TestCrawlConformance:
                 assert set(got.metadata or {}) == keys, (f, got.metadata)
 
     def test_one_state_actor_serves_seen_and_robots(self, tiny_corpus, tmp_path, monkeypatch):
-        """A crawl starts exactly one state actor: both factories hand back
-        its handle list, and the seen counters and robots stats come from it."""
+        """A crawl uses exactly one state actor: both factories hand back its
+        handle list, and the seen counters and robots stats come from it.
+        The next crawl of the session creates none: it resets the actor the
+        first crawl released and reads only its own crawl's state from it."""
         import ray
 
         import webcrawl_lowres_lang_ray.frontier as fr
-        import webcrawl_lowres_lang_ray.state.seen as seen
 
-        created, got = [], {}
-        actor_cls = seen.SeenShardsAndRobots
-
-        class Counting:
-            @staticmethod
-            def remote(*a, **kw):
-                created.append(actor_cls.remote(*a, **kw))
-                return created[-1]
+        created, got = _count_state_actors(monkeypatch), {}
 
         def keeping(name):
             real = getattr(fr, name)
@@ -274,18 +286,103 @@ class TestCrawlConformance:
 
             return keep
 
-        monkeypatch.setattr(seen, "SeenShardsAndRobots", Counting)
         for name in ("create_seen_shards", "create_robots_actors"):
             monkeypatch.setattr(fr, name, keeping(name))
-        stats = run_crawl(tiny_corpus, str(tmp_path / "out"), CFG)
-        assert len(created) == 1
-        assert got["create_seen_shards"] == created
-        assert got["create_robots_actors"] is got["create_seen_shards"]
-        (state,) = created
-        assert ray.get(state.size.remote()) == stats.inserted > 0
-        assert ray.get(state.run_count.remote()) > 0
-        robots = ray.get(state.stats.remote())
-        assert robots["hosts_cached"] == robots["fetches"] > 0
+
+        def crawl(name):
+            stats = run_crawl(tiny_corpus, str(tmp_path / name), CFG)
+            assert got["create_robots_actors"] is got["create_seen_shards"]
+            (state,) = got["create_seen_shards"]
+            assert ray.get(state.size.remote()) == stats.inserted > 0
+            robots = ray.get(state.stats.remote())
+            assert robots["hosts_cached"] == robots["fetches"] > 0
+            return state, stats, ray.get(state.run_count.remote()), robots
+
+        # an earlier test may have left an idle actor: this first crawl
+        # takes it or creates one, never more than one
+        first, stats1, runs1, robots1 = crawl("first")
+        assert created in ([], [first])
+        assert runs1 > 0
+
+        created.clear()
+        second, stats2, runs2, robots2 = crawl("second")
+        assert created == []
+        assert second == first
+        # the same crawl again: the actor's counters restarted at checkout
+        assert _stat_values(stats2) == _stat_values(stats1)
+        assert (runs2, robots2) == (runs1, robots1)
+
+    def test_dead_idle_actor_is_replaced(self, tiny_corpus, tmp_path, monkeypatch):
+        """The idle actor dying between crawls costs the next crawl one fresh
+        actor, not its ledger."""
+        import time
+
+        import ray
+
+        import webcrawl_lowres_lang_ray.frontier as fr
+
+        got = []
+        create = fr.create_seen_shards
+
+        def keep(*a, **kw):
+            got.append(create(*a, **kw))
+            return got[-1]
+
+        monkeypatch.setattr(fr, "create_seen_shards", keep)
+        run_crawl(tiny_corpus, str(tmp_path / "first"), CFG)
+        ((idle,),) = got
+        ray.kill(idle)
+        # wait until a call fails, so the kill cannot land mid-crawl
+        deadline = time.time() + 60
+        while time.time() < deadline:
+            try:
+                ray.get(idle.size.remote())
+            except ray.exceptions.RayActorError:
+                break
+            time.sleep(0.05)
+        else:
+            raise AssertionError("killed actor still answers")
+
+        created = _count_state_actors(monkeypatch)
+        out = str(tmp_path / "second")
+        run_crawl(tiny_corpus, out, CFG)
+        assert len(created) == 1 and got[-1] == created
+        eng = load_ledger(out).sort_values("seq").reset_index(drop=True)
+        _assert_ledger_equal(eng, _oracle_df(tiny_corpus, CFG))
+
+    def test_crawl_after_ray_restart_in_one_process(self, tiny_corpus, tmp_path):
+        """crawl, ray.shutdown(), ray.init(), crawl, crawl in one driver
+        process: the second Ray session does not take the first session's
+        idle actor (the job id repeats, the node id does not), and its second
+        crawl runs on the actor its first released, so the three ledgers
+        are equal only if the reset empties that actor."""
+        import os
+        import subprocess
+        import sys
+
+        code = (
+            "import sys, ray\n"
+            "from webcrawl_lowres_lang_ray.config import CrawlConfig\n"
+            "from webcrawl_lowres_lang_ray.frontier import run_crawl\n"
+            "corpus, a, b, c = sys.argv[1:]\n"
+            "for outs in ([a], [b, c]):\n"
+            "    ray.init(address='local', num_cpus=2, include_dashboard=False,\n"
+            "             logging_level='ERROR', log_to_driver=False)\n"
+            "    for out in outs:\n"
+            "        print(run_crawl(corpus, out, CrawlConfig(per_host_per_wave=4)).inserted)\n"
+            "    ray.shutdown()\n"
+        )
+        outs = [str(tmp_path / name) for name in "abc"]
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        res = subprocess.run(
+            [sys.executable, "-c", code, tiny_corpus, *outs],
+            cwd=root, capture_output=True, text=True, timeout=240,
+        )
+        assert res.returncode == 0, res.stderr[-3000:]
+        inserted = res.stdout.split()
+        assert len(inserted) == 3 and len(set(inserted)) == 1 and int(inserted[0]) > 0
+        for out in outs[1:]:
+            _assert_ledger_equal(load_ledger(out), load_ledger(outs[0]))
 
     def test_dead_seen_actor_fails_loudly_then_resumes(self, tiny_corpus, tmp_path, monkeypatch):
         """The seen actor dying after wave 1's manifest must stop the crawl
@@ -332,7 +429,10 @@ class TestCrawlConformance:
         assert len(raised) == 1 and isinstance(raised[0], ray.exceptions.RayActorError), raised
         monkeypatch.undo()
         assert ckpt.latest_manifest(part_out)["wave"] == 1
+        # the crawl that raised released nothing: the resume boots an actor
+        created = _count_state_actors(monkeypatch)
         stats = run_crawl(tiny_corpus, part_out, CFG, resume=True)
+        assert len(created) == 1 and created[0] not in handles
         assert stats.waves > 2
         _assert_ledger_equal(load_ledger(part_out), load_ledger(full_out))
 

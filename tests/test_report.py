@@ -93,9 +93,17 @@ class TestReport:
         ]
         assert int(rep["engine_breakdown"]["n"].sum()) == 0
         assert int(rep["confidence_histogram"]["n_conf"].sum()) == 0
-        for name in ("verdict_counts", "dup_url_hash", "dup_file_hash", "per_domain",
-                     "confidence_extremes", "urls_per_query"):
+        columns = {
+            "verdict_counts": ["nlp_full_lang", "n"],
+            "dup_url_hash": ["url_hash", "n"],
+            "dup_file_hash": ["file_hash", "n"],
+            "per_domain": ["host", "n", "which"],
+            "confidence_extremes": ["seq", "url", "nlp_full_confidence", "which"],
+            "urls_per_query": ["query_id", "total_count", "which"],
+        }
+        for name, cols in columns.items():
             assert len(rep[name]) == 0, name
+            assert list(rep[name].columns) == cols, name
 
 
 class TestCli:

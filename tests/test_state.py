@@ -94,6 +94,56 @@ class TestSeenShards:
         assert not _probe_add(fresh, waves[0] + waves[1]).any()
         assert _probe_add(fresh, [_digest(9_999_999)]).all()
 
+    def test_concurrent_checkouts_never_share_an_actor(self, monkeypatch):
+        """Threads that check a state actor out, hold it and release it in
+        a loop never hold one actor together; released actors are reused."""
+        import sys
+        import threading
+        import time
+        from types import SimpleNamespace
+
+        import ray
+
+        import webcrawl_lowres_lang_ray.state.seen as seen
+
+        done = ray.put(None)
+        created = []
+
+        def create(*a):
+            created.append(SimpleNamespace(reset=SimpleNamespace(remote=lambda *a: done)))
+            return created[-1]
+
+        monkeypatch.setattr(seen, "SeenShardsAndRobots", SimpleNamespace(remote=create))
+        monkeypatch.setattr(seen, "_idle", None)
+        held, lock, shared = set(), threading.Lock(), []
+
+        def crawl():
+            for _ in range(200):
+                (actor,) = seen.create_seen_shards(2)
+                with lock:
+                    if id(actor) in held:
+                        shared.append(actor)
+                    held.add(id(actor))
+                time.sleep(0)
+                with lock:
+                    held.discard(id(actor))
+                seen.release_seen_shards([actor])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=crawl) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert shared == []
+        assert 0 < len(created) < 8 * 200
+        assert any(seen._idle[1] is a for a in created)
+
 
 @pytest.mark.usefixtures("ray_session")
 class TestPagedSeenStore:

@@ -89,6 +89,7 @@ from .sources.synth import load_lexicon
 from .state.robots import create_robots_actors, robots_blocked_mask
 from .state.seen import (
     create_seen_shards,
+    release_seen_shards,
     restore_all_from,
     seen_add,
     seen_probe_new,
@@ -888,6 +889,9 @@ def run_crawl(
 
     stats.waves = wave
     stats.elapsed_sec = time.time() - t0
+    # not in a finally: a crawl that raised may have left the actor dead or
+    # half-written, so its handle is dropped and Ray reaps the actor
+    release_seen_shards(seen_shards)
     return stats
 
 

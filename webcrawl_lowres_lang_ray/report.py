@@ -46,7 +46,8 @@ def partitioned_key_counts(
 
 def verdict_counts(ledger: "ray.data.Dataset") -> pd.DataFrame:
     """G3/G4 (sql.py:369-405): counts per full-language verdict."""
-    # reindex: a grouped aggregate over an empty ledger has no columns
+    # reindex, here and in every report below: Ray's to_pandas of an empty
+    # result has no columns
     out = (
         ledger.groupby("nlp_full_lang").aggregate(Count(alias_name="n")).to_pandas()
     ).reindex(columns=["nlp_full_lang", "n"])
@@ -88,7 +89,7 @@ def dup_url_hash_stats(ledger: "ray.data.Dataset", top: int = 5) -> pd.DataFrame
     dups = counts.filter(expr="n > 1")
     return (
         dups.sort(["n", "url_hash"], descending=[True, False]).limit(top).to_pandas()
-    )
+    ).reindex(columns=["url_hash", "n"])
 
 
 def dup_file_hash_stats(ledger: "ray.data.Dataset", top: int = 5) -> pd.DataFrame:
@@ -100,7 +101,7 @@ def dup_file_hash_stats(ledger: "ray.data.Dataset", top: int = 5) -> pd.DataFram
         .sort(["n", "file_hash"], descending=[True, False])
         .limit(top)
         .to_pandas()
-    )
+    ).reindex(columns=["file_hash", "n"])
 
 
 def per_domain_counts(ledger: "ray.data.Dataset", top: int = 10) -> pd.DataFrame:
@@ -116,7 +117,9 @@ def per_domain_counts(ledger: "ray.data.Dataset", top: int = 10) -> pd.DataFrame
     top_hosts["which"] = "top"
     bottom = counts.sort(["n", "host"], descending=[False, False]).limit(top).to_pandas()
     bottom["which"] = "bottom"
-    return pd.concat([top_hosts, bottom], ignore_index=True)
+    return pd.concat([top_hosts, bottom], ignore_index=True).reindex(
+        columns=["host", "n", "which"]
+    )
 
 
 def confidence_extremes(ledger: "ray.data.Dataset", k: int = 5) -> pd.DataFrame:
@@ -131,7 +134,7 @@ def confidence_extremes(ledger: "ray.data.Dataset", k: int = 5) -> pd.DataFrame:
         ["nlp_full_confidence", "seq"], descending=[False, False]
     ).limit(k).to_pandas()
     lo["which"] = "low"
-    return pd.concat([hi, lo], ignore_index=True)
+    return pd.concat([hi, lo], ignore_index=True).reindex(columns=[*cols, "which"])
 
 
 def confidence_histogram(ledger: "ray.data.Dataset") -> pd.DataFrame:
@@ -165,7 +168,9 @@ def urls_per_query(ledger: "ray.data.Dataset", top: int = 5) -> pd.DataFrame:
     hi["which"] = "top"
     lo = counts.sort(["total_count", "query_id"], descending=[False, False]).limit(top).to_pandas()
     lo["which"] = "bottom"
-    return pd.concat([hi, lo], ignore_index=True)
+    return pd.concat([hi, lo], ignore_index=True).reindex(
+        columns=["query_id", "total_count", "which"]
+    )
 
 
 def engine_breakdown(ledger: "ray.data.Dataset") -> pd.DataFrame:

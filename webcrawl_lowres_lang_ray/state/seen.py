@@ -8,8 +8,9 @@ canonical-URL keys).  The shards are data, not processes: the crawl's ONE
 state actor (``SeenShardsAndRobots``) owns every shard and routes each
 batch inside itself, so a probe, add or snapshot is one RPC whatever the
 shard count, and the same process also hosts the robots cache
-(``state/robots.py``) — a crawl boots one actor process, not one per kind
-of state:
+(``state/robots.py``) — one actor process, not one per kind of state, and
+not one per crawl: a finished crawl releases it and the next crawl of the
+same Ray session resets and reuses it:
 
 * ``CuckooFilter`` — a real partial-key cuckoo filter (numpy table,
   4-slot buckets, 16-bit fingerprints): answers "definitely new" without
@@ -45,6 +46,7 @@ membership — determinism holds under any RPC scheduling.
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 import ray
@@ -345,9 +347,11 @@ def matrix_shard_ids(mat: np.ndarray, num_shards: int) -> np.ndarray:
     ).astype(np.int64)
 
 
-# one process for all crawl state: every actor is a fresh Python process
-# that imports Ray, numpy and pyarrow, so a second one doubles the boot CPU.
-# The class name keeps the ``SeenShard`` process-name prefix that
+# one process for all crawl state: an actor boot is a fresh Python process
+# (~0.35 s wall on a 4-CPU host), so one actor holds every kind of state and
+# outlives the crawl: ``create_seen_shards`` resets the actor the previous
+# crawl of this Ray session released instead of booting another.  The class
+# name keeps the ``SeenShard`` process-name prefix that
 # perfbench/procstat.py counts as state-actor CPU.
 @ray.remote(num_cpus=0)  # lightweight RPC state actor: microsecond lookups, no compute slot
 class SeenShardsAndRobots:
@@ -358,6 +362,10 @@ class SeenShardsAndRobots:
     def __init__(self, num_shards: int, capacity: int = 1 << 16):
         self.shards = [SeenShard(i, capacity) for i in range(num_shards)]
         self.robots: RobotsCache | None = None  # set by load_robots
+
+    def reset(self, num_shards: int, capacity: int = 1 << 16) -> None:
+        """The state of a fresh actor: empty shards, no robots cache."""
+        self.__init__(num_shards, capacity)
 
     def _split(self, blob: bytes):
         mat = np.frombuffer(blob, dtype=np.uint8).reshape(-1, KEY_LEN)
@@ -404,12 +412,47 @@ class SeenShardsAndRobots:
         return self.robots.stats()
 
 
+# (session key, actor) a finished crawl released, or None.  The node id is
+# part of the key: the job id repeats across ray.shutdown(); ray.init().
+_idle = None
+_idle_lock = threading.Lock()
+
+
+def _session_key() -> tuple[str, str]:
+    ctx = ray.get_runtime_context()
+    return ctx.get_node_id(), ctx.get_job_id()
+
+
 def create_seen_shards(num_shards: int, capacity_hint: int = 1 << 16):
-    """The crawl's state actor, owning ``num_shards`` shards, as a list (the
-    handle list every ``seen_*`` helper and, once
+    """The crawl's state actor, owning ``num_shards`` empty shards, as a list
+    (the handle list every ``seen_*`` helper and, once
     ``robots.create_robots_actors`` has loaded its source, every robots
-    helper takes)."""
+    helper takes).
+
+    Takes the actor an earlier crawl of this Ray session released
+    (``release_seen_shards``) and resets it; creates one when there is none
+    or the idle one has died.  The checkout empties the slot, so concurrent
+    crawls never share an actor."""
+    global _idle
+    with _idle_lock:
+        idle, _idle = _idle, None
+    if idle is not None and idle[0] == _session_key():
+        try:
+            ray.get(idle[1].reset.remote(num_shards, capacity_hint))
+            return [idle[1]]
+        except ray.exceptions.RayActorError:
+            pass
     return [SeenShardsAndRobots.remote(num_shards, capacity_hint)]
+
+
+def release_seen_shards(shards) -> None:
+    """Hand a finished crawl's state actor to the next ``create_seen_shards``
+    of this Ray session.  Its state stays readable until then: the reset
+    happens at checkout."""
+    global _idle
+    (actor,) = shards
+    with _idle_lock:
+        _idle = (_session_key(), actor)
 
 
 def seen_probe_new(shards, digests) -> np.ndarray:
