@@ -270,7 +270,9 @@ class TestCrawlConformance:
         """A crawl uses exactly one state actor: both factories hand back its
         handle list, and the seen counters and robots stats come from it.
         The next crawl of the session creates none: it resets the actor the
-        first crawl released and reads only its own crawl's state from it."""
+        first crawl released and reads only its own crawl's state from it.
+        A released actor keeps those counters but maps none of the crawl's
+        seen run files."""
         import ray
 
         import webcrawl_lowres_lang_ray.frontier as fr
@@ -289,10 +291,19 @@ class TestCrawlConformance:
         for name in ("create_seen_shards", "create_robots_actors"):
             monkeypatch.setattr(fr, name, keeping(name))
 
+        def mapped_under(state, root):
+            def maps(_actor):
+                with open("/proc/self/maps") as f:
+                    return sorted({ln.split()[-1] for ln in f if root in ln})
+
+            return ray.get(state.__ray_call__.remote(maps))
+
         def crawl(name):
-            stats = run_crawl(tiny_corpus, str(tmp_path / name), CFG)
+            out = str(tmp_path / name)
+            stats = run_crawl(tiny_corpus, out, CFG)
             assert got["create_robots_actors"] is got["create_seen_shards"]
             (state,) = got["create_seen_shards"]
+            assert mapped_under(state, out) == []
             assert ray.get(state.size.remote()) == stats.inserted > 0
             robots = ray.get(state.stats.remote())
             assert robots["hosts_cached"] == robots["fetches"] > 0

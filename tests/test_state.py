@@ -110,7 +110,8 @@ class TestSeenShards:
         created = []
 
         def create(*a):
-            created.append(SimpleNamespace(reset=SimpleNamespace(remote=lambda *a: done)))
+            call = SimpleNamespace(remote=lambda *a: done)
+            created.append(SimpleNamespace(reset=call, release=call))
             return created[-1]
 
         monkeypatch.setattr(seen, "SeenShardsAndRobots", SimpleNamespace(remote=create))
