@@ -43,14 +43,13 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 def ledger_md5(out_dir: str) -> tuple[str, int]:
     """Order-insensitive md5 over every LEDGER_META_COLS column (``text``
     included) of every ledger row."""
-    import glob
-
     import pyarrow.parquet as pq
 
+    from webcrawl_lowres_lang_ray.checkpoint import output_files
     from webcrawl_lowres_lang_ray.frontier import LEDGER_META_COLS
 
     rows = []
-    for f in sorted(glob.glob(os.path.join(out_dir, "ledger", "wave=*", "*.parquet"))):
+    for f in output_files(out_dir)[0]:
         d = pq.read_table(f, columns=LEDGER_META_COLS).to_pydict()
         rows.extend("\x1f".join(map(repr, r)) for r in zip(*(d[c] for c in LEDGER_META_COLS)))
     digest = hashlib.md5("\n".join(sorted(rows)).encode()).hexdigest()

@@ -233,8 +233,12 @@ class TestCrawlConformance:
         partitions are written by the admission tasks).  Every frontier and
         ledger file either path writes has exactly FRONTIER_SCHEMA /
         LEDGER_SCHEMA, and its only footer metadata is a ledger file's
-        ``ledger_counts``."""
+        ``ledger_counts``.  Every file the crawl writes has a name of the
+        checkpoint layout (checkpoint.py), which resumes and perfbench's
+        ``ledger/wave=*/part-b*.parquet`` glob rely on."""
         import glob
+        import os
+        import re
         import shutil
 
         import pyarrow as pa
@@ -255,6 +259,16 @@ class TestCrawlConformance:
         stats = run_crawl(corpus, out, CFG)
         _assert_manifest_counts(out, stats)
         assert all(v > 0 for v in _stat_values(stats).values()), _stat_values(stats)
+        layout = re.compile(
+            r"ledger/wave=\d{5}/(part-b\d{3}-s\d{9}|norun-p\d{3})\.parquet"
+            r"|frontier/wave=\d{5}/(deferred|insert)-p\d{3}\.parquet"
+            r"|seen/wave=\d{5}/shard-\d{3}\.bin"
+            r"|manifest/wave=\d{5}\.json"
+        )
+        written = sorted(
+            os.path.relpath(os.path.join(d, f), out) for d, _, fs in os.walk(out) for f in fs
+        )
+        assert written and [f for f in written if not layout.fullmatch(f)] == []
         for kind, schema, keys in (
             ("frontier", fr.FRONTIER_SCHEMA, set()),
             ("ledger", fr.LEDGER_SCHEMA, {b"ledger_counts"}),
@@ -596,7 +610,7 @@ class TestCrawlConformance:
 
         out = str(tmp_path / "out")
         run_crawl(tiny_corpus, out, CFG.replace(max_waves=1))
-        pending = fr._read_frontier(ckpt.wave_dir(out, "frontier", 1)).to_pandas()
+        pending = pq.read_table(ckpt.frontier_dir(out, 1)).to_pandas()
         batch = pending.loc[~(pending["is_rel"] | pending["robots_blocked"])]
         batch = batch.reset_index(drop=True)
         assert batch["bucket"].nunique() > 1
@@ -635,18 +649,19 @@ class TestCrawlConformance:
 
     def test_streamed_waves_keep_frontier_off_driver(self, tiny_corpus, tmp_path, monkeypatch):
         """With the streamed path forced, the pending frontier must never
-        become a driver frame: _read_frontier is never called inside the
-        crawl, and every Dataset->driver pull stays O(histogram)."""
+        become a driver frame: no wave runs the driver path (the one that
+        reads the frontier into a driver table), and every Dataset->driver
+        pull stays O(histogram)."""
         import ray.data
 
         import webcrawl_lowres_lang_ray.frontier as fr
 
         monkeypatch.setattr(fr, "DRIVER_PATH_MAX_ROWS", 0)
 
-        def no_read(path):
-            raise AssertionError(f"driver read the frontier: {path}")
+        def no_read(out_dir, pages_dir, wave, *a, **kw):
+            raise AssertionError(f"driver read the frontier of wave {wave}")
 
-        monkeypatch.setattr(fr, "_read_frontier", no_read)
+        monkeypatch.setattr(fr, "_run_wave_driver", no_read)
         orig = ray.data.Dataset.to_pandas
         cap = 2048  # >> rank-bucket histogram, << any frontier/ledger frame
 

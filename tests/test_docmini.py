@@ -80,10 +80,27 @@ class TestDocxMini:
 
 class TestDispatchFallback:
     def test_extract_doc_routes_to_stdlib_kernels(self):
-        # PyPDF2 / python-docx are absent in this container, so the dispatch
-        # must land on the pdfmini/docxmini kernels and return real text
+        # the dispatch lands on the pdfmini/docxmini kernels and returns
+        # real text
         from webcrawl_lowres_lang_ray.functions.extract_doc import extract_text_auto
 
         assert extract_text_auto(build_pdf(["x y z"]), "pdf") == "x y z"
         assert extract_text_auto(build_docx(["a", "b"]), "docx") == "a b"
         assert extract_text_auto(b"\x00\x01BIN??", "bin") is None
+
+    def test_installed_optional_packages_change_nothing(self, monkeypatch):
+        """Importable ``PyPDF2`` and ``docx`` modules are not used: ledger
+        text and the corpus goldens must not depend on which optional
+        packages a host has."""
+        import sys
+        import types
+
+        from webcrawl_lowres_lang_ray.functions.extract_doc import extract_text_auto
+
+        def unused(*a, **kw):
+            raise AssertionError("optional package used")
+
+        monkeypatch.setitem(sys.modules, "PyPDF2", types.SimpleNamespace(PdfReader=unused))
+        monkeypatch.setitem(sys.modules, "docx", types.SimpleNamespace(Document=unused))
+        assert extract_text_auto(build_pdf(["x y z"]), "pdf") == "x y z"
+        assert extract_text_auto(build_docx(["a", "b"]), "docx") == "a b"

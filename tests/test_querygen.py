@@ -70,8 +70,8 @@ class TestDocTypeDispatch:
 
     def test_html_real_pdf_docx_stdlib_kernels(self):
         assert extract_text_auto(b"<p>hi</p>", "html") == "hi"
-        # PyPDF2/python-docx absent -> pdfmini/docxmini kernels: real text
-        # for valid payloads, "" (total) for unparseable bytes
+        # pdfmini/docxmini kernels: real text for valid payloads, ""
+        # (total) for unparseable bytes
         from webcrawl_lowres_lang_ray.functions.docxmini import build_docx
         from webcrawl_lowres_lang_ray.functions.pdfmini import build_pdf
 

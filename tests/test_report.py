@@ -58,6 +58,26 @@ class TestReport:
         top_row = d.loc[d["which"] == "top"].iloc[0]
         assert top_row["n"] == top_truth.max()
 
+    def test_ledger_blocks_have_hashable_schemas(self, crawl_out):
+        """Ray Data hashes block schemas to deduplicate them and logs
+        "Failed to hash the schemas" when that raises; a ledger file's
+        footer metadata (``ledger_counts``) makes pyarrow's
+        ``Schema.__hash__`` raise, so the ledger read must not carry it.
+        Full and column-pruned reads return the same rows as load_ledger."""
+        import ray
+
+        from webcrawl_lowres_lang_ray.frontier import LEDGER_META_COLS, ledger_dataset, load_ledger
+
+        want = load_ledger(crawl_out, include_pending=False)
+        for cols in (None, [c for c in LEDGER_META_COLS if c != "text"], ["seq", "url", "wave"]):
+            ds = ledger_dataset(crawl_out, columns=cols, include_pending=False)
+            blocks = ray.get(ds.to_arrow_refs())
+            assert blocks
+            for b in blocks:
+                hash(b.schema)
+            got = ds.to_pandas().sort_values("seq").reset_index(drop=True)
+            pd.testing.assert_frame_equal(got, want[list(got.columns)])
+
     def test_dup_file_hash_detects_content_dups(self, crawl_out):
         from webcrawl_lowres_lang_ray.pipelines.crawl_queries import ledger_dataset
         from webcrawl_lowres_lang_ray.report import dup_file_hash_stats

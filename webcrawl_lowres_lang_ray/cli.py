@@ -98,7 +98,7 @@ def main(argv=None):
     elif args.cmd == "regen-lexicon":
         import pandas as pd
 
-        from .pipelines.crawl_queries import ledger_dataset
+        from .frontier import ledger_dataset
         from .sources.synth import load_lexicon
         from .stages.lexicon import regenerate_lexicon
         from .config import CrawlConfig

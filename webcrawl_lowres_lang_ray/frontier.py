@@ -3,22 +3,28 @@
 Reproduces the oracle's semantics (oracle.py — itself the reference's
 num_threads=1 FIFO semantics) with Ray Data execution per wave:
 
-  frontier/wave=N parquet (sorted spill, read from disk)  [checkpoint.py]
+  frontier/wave=N parquet (sorted spill, read from disk)
     -> admission: per-host head-k by (priority, seq);     [admit_route]
-       deferred rows -> frontier/wave=N+1, relative/robots
-       rows -> a norun ledger partition
+       deferred rows -> frontier/wave=N+1 deferred-pNNN,
+       relative/robots rows -> ledger/wave=N norun-pNNN
     -> fetch = partitioned hash join vs the page table
        (pre-partitioned by HOST-hash bucket — the crawl's
        single partitioning key)                            [_wave_task]
     -> doc-type dispatch (M5) + extract + clean + score   [one fused
-       + link-extract; ledger/wave=N/ write per bucket     stage]
+       + link-extract; ledger/wave=N part-bKKK-sSSSSSSSSS  stage]
+       write per bucket
     -> candidate prep: excluded-domain filter, hashes,     [per-wave-task
        relative/robots gates (one robots RPC per task)      prep]
     -> insertion: within-wave dedup (first occurrence by   [insert_probe]
        (parent_seq, link_idx)) + read-only seen probe;
        then global seq, max_pages cut, next-frontier       [insert_commit]
-       partition write, seen_add of the written rows
+       partition write (insert-pNNN), seen_add of the
+       written rows
     -> manifest + seen snapshots
+
+checkpoint.py owns that layout: every file name, directory reset, footer
+read and listing of the output goes through it (``ckpt.*``), so this
+module never spells an output path.
 
 Every row the crawl moves — frontier, candidate and ledger rows — is a
 ``pa.Table`` of one fixed schema (FRONTIER_SCHEMA, CANDIDATE_SCHEMA,
@@ -59,11 +65,9 @@ Scale notes (the 100 TB story):
 
 from __future__ import annotations
 
-import json
 import os
-import shutil
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -172,8 +176,8 @@ def _ledger_rows(rows: pa.Table, wave: int, **cols) -> pa.Table:
 
 
 # CrawlStats counter -> the ledger bool column it counts.  Every ledger
-# partition carries its own sums in its Parquet footer (key-value metadata
-# under _LEDGER_COUNTS_KEY); after each wave the driver adds that wave's
+# partition carries its own sums in its Parquet footer (checkpoint.py
+# writes and reads them); after each wave the driver adds that wave's
 # footers to CrawlStats and the manifest — no row data is read back.
 LEDGER_COUNTERS = {
     "fetched": "downloaded",
@@ -182,24 +186,13 @@ LEDGER_COUNTERS = {
     "skipped_relative": "skipped_relative",
     "robots_blocked": "robots_blocked",
 }
-_LEDGER_COUNTS_KEY = b"ledger_counts"
 
 
 def _write_ledger_part(tbl: pa.Table, path: str) -> None:
     """Write one ledger partition with its counter sums in the footer."""
-    counts = {k: int(pc.sum(tbl.column(c)).as_py() or 0) for k, c in LEDGER_COUNTERS.items()}
-    pq.write_table(tbl.replace_schema_metadata({_LEDGER_COUNTS_KEY: json.dumps(counts)}), path)
-
-
-def _wave_counts(ledger_dir: str) -> dict[str, int]:
-    """One wave's ledger counters, summed from its partitions' footers."""
-    total = dict.fromkeys(LEDGER_COUNTERS, 0)
-    for f in os.listdir(ledger_dir):
-        if f.endswith(".parquet"):
-            meta = pq.read_metadata(os.path.join(ledger_dir, f)).metadata
-            for k, v in json.loads(meta[_LEDGER_COUNTS_KEY]).items():
-                total[k] += v
-    return total
+    ckpt.write_ledger_part(
+        tbl, path, {k: int(pc.sum(tbl.column(c)).as_py() or 0) for k, c in LEDGER_COUNTERS.items()}
+    )
 
 
 @dataclass
@@ -212,7 +205,6 @@ class CrawlStats:
     robots_blocked: int = 0
     rejected: int = 0
     elapsed_sec: float = 0.0
-    per_wave: list[dict] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +252,7 @@ def admit_route(
     rank = np.empty(len(host), dtype=np.int64)
     rank[by_host] = np.arange(len(host)) - np.searchsorted(sorted_host, sorted_host)
     admit = rank < k
-    pq.write_table(
-        g.filter(~admit).select(FRONTIER_SCHEMA.names),
-        os.path.join(next_frontier, f"deferred-p{part:03d}.parquet"),
-    )
+    pq.write_table(g.filter(~admit).select(FRONTIER_SCHEMA.names), ckpt.deferred_path(next_frontier, part))
     adm = g.filter(admit)
     rel = adm.column("is_rel").to_numpy()
     rob = adm.column("robots_blocked").to_numpy()
@@ -274,7 +263,7 @@ def admit_route(
                 adm.filter(norun), wave,
                 handled=True, skipped_relative=rel[norun], robots_blocked=rob[norun],
             ),
-            os.path.join(ledger_dir, f"norun-p{part:03d}.parquet"),
+            ckpt.norun_path(ledger_dir, part),
         )
     return adm.filter(~norun)
 
@@ -338,17 +327,12 @@ def _wave_task(pages_dir: str, lexicon_ref, cfg: CrawlConfig, wave: int, ledger_
             if dt == "html":
                 text, links[i] = extract_text_and_links(html)
             else:
-                # pdf/docx extract through PyPDF2/python-docx when importable,
-                # else the stdlib pdfmini/docxmini kernels (real text for the
-                # Flate/OOXML subset).  Unknown types return None — the
-                # reference's extract-returns-None path (nlp.py:113-115,
-                # lrl-crawler.py:431-433): score as empty text.  Non-html
-                # rows contribute no links either way.
-                try:
-                    text = extract_text_auto(html, dt) if dt else None
-                except NotImplementedError:
-                    text = None
-                text = text or ""
+                # pdf/docx extract through the stdlib pdfmini/docxmini
+                # kernels (real text for the Flate/OOXML subset).  Unknown
+                # types return None — the reference's extract-returns-None
+                # path (nlp.py:113-115, lrl-crawler.py:431-433): score as
+                # empty text.  Non-html rows contribute no links either way.
+                text = (extract_text_auto(html, dt) if dt else None) or ""
                 links[i] = []
             text_col[i] = text
             sr = model.score_text(text)
@@ -372,10 +356,7 @@ def _wave_task(pages_dir: str, lexicon_ref, cfg: CrawlConfig, wave: int, ledger_
         # slices always have distinct minima — so names never collide and a
         # retried task deterministically rewrites exactly its own file
         min_seq = int(tbl.column("seq").to_numpy().min())
-        _write_ledger_part(
-            ledger_tbl,
-            os.path.join(ledger_dir, f"part-b{bucket:03d}-s{min_seq:09d}.parquet"),
-        )
+        _write_ledger_part(ledger_tbl, ckpt.ledger_part_path(ledger_dir, bucket, min_seq))
         return links
 
     def fn(batch: pa.Table) -> pa.Table:
@@ -501,7 +482,7 @@ def _insert_one_part(cand: pa.Table, seen_shards, base_seq: int, cfg: CrawlConfi
     new = insert_probe(cand, seen_shards)
     return insert_commit(
         new, base_seq + np.arange(new.num_rows, dtype=np.int64), cfg.max_pages,
-        os.path.join(frontier_dir, "insert-p000.parquet"), seen_shards,
+        ckpt.insert_path(frontier_dir, 0), seen_shards,
     )
 
 
@@ -580,7 +561,7 @@ def _insert_streamed(
         seq = start[inv] + np.arange(g.num_rows) - first[inv]
         n = insert_commit(
             g, base_seq + seq, max_pages,
-            os.path.join(write_dir, f"insert-p{part:03d}.parquet"), seen_shards,
+            ckpt.insert_path(write_dir, part), seen_shards,
         )
         return pa.table({"n": pa.array([n], pa.int64())})
 
@@ -592,24 +573,6 @@ def _insert_streamed(
     )
     sections["exec_assign"] = round(time.time() - t0, 3)
     return int(inserted or 0)
-
-
-def _clear_dir(path_dir: str) -> None:
-    """Reset a per-wave partition directory: re-running a killed wave must
-    not leave orphan files from the partial attempt (file names can differ
-    between the driver and streamed paths)."""
-    if os.path.isdir(path_dir):
-        shutil.rmtree(path_dir)
-    os.makedirs(path_dir, exist_ok=True)
-
-
-def _frontier_row_count(path_dir: str) -> int:
-    """Pending size from Parquet footers only — no row data read."""
-    n = 0
-    for f in os.listdir(path_dir):
-        if f.endswith(".parquet"):
-            n += pq.read_metadata(os.path.join(path_dir, f)).num_rows
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -640,10 +603,10 @@ def _run_wave_driver(
     one per cluster CPU, over LPT-packed bucket blocks.  Returns the number
     of rows inserted."""
     t_sec = time.time()
-    next_frontier = ckpt.wave_dir(out_dir, "frontier", wave + 1)
-    ledger_dir = ckpt.wave_dir(out_dir, "ledger", wave)
+    next_frontier = ckpt.frontier_dir(out_dir, wave + 1)
+    ledger_dir = ckpt.ledger_dir(out_dir, wave)
     to_fetch = admit_route(
-        _read_frontier(ckpt.wave_dir(out_dir, "frontier", wave)),
+        pq.read_table(ckpt.frontier_dir(out_dir, wave)),
         cfg.per_host_per_wave, wave, 0, next_frontier, ledger_dir,
     )
     sections["admit"] = round(time.time() - t_sec, 3)
@@ -713,8 +676,8 @@ def _run_wave_streamed(
     politeness stays exact), so admit_route's output is already page-bucket-
     aligned and flows straight into the fused fetch/score stage as zero-copy
     Arrow with no second exchange."""
-    next_frontier = ckpt.wave_dir(out_dir, "frontier", wave + 1)
-    ledger_dir = ckpt.wave_dir(out_dir, "ledger", wave)
+    next_frontier = ckpt.frontier_dir(out_dir, wave + 1)
+    ledger_dir = ckpt.ledger_dir(out_dir, wave)
     cpus = int(ray.cluster_resources().get("CPU", 8))
     nparts = max(_SHUFFLE_PARTS, min(4 * cpus, cfg.num_url_buckets))
     # frontier rows are slim (~150 B) but each to-fetch row costs ~ms of
@@ -739,7 +702,7 @@ def _run_wave_streamed(
     wave_fn = _wave_task(pages_dir, lexicon_ref, cfg, wave, ledger_dir, robots_actors, fetcher=fetcher)
 
     candidates = (
-        ray.data.read_parquet(ckpt.wave_dir(out_dir, "frontier", wave))
+        ray.data.read_parquet(ckpt.frontier_dir(out_dir, wave))
         .map_batches(add_admit_part, batch_format="pyarrow")
         .groupby("admit_part")
         .map_groups(admit_part, batch_format="pyarrow")
@@ -807,7 +770,7 @@ def run_crawl(
             seen_shards, ckpt.seen_delta_paths(out_dir, wave, cfg.num_seen_shards)
         )
     else:
-        ckpt.clear_output(out_dir)
+        ckpt.reset_dir(out_dir)
         wave = 0
         # --- seed insertion (reference: query-gen + search stage seeds the
         # urls table in id order; here the seed list is the frontier bootstrap)
@@ -830,20 +793,21 @@ def run_crawl(
                 ),
             }
         )
-        frontier0 = ckpt.wave_dir(out_dir, "frontier", 0)
-        _clear_dir(frontier0)
+        frontier0 = ckpt.frontier_dir(out_dir, 0)
+        ckpt.reset_dir(frontier0)
         next_seq = stats.inserted = _insert_one_part(
             _prepare_candidates(cand, cfg, robots_actors), seen_shards, 0, cfg, frontier0
         )
     # every wave reads its frontier from disk; its size comes from footers
-    pending_count = _frontier_row_count(ckpt.wave_dir(out_dir, "frontier", wave))
+    pending_count = ckpt.footer_sums(ckpt.parquet_files(ckpt.frontier_dir(out_dir, wave)))[0]
 
     while pending_count > 0 and wave < cfg.max_waves:
         wave_t0 = time.time()
         sec = {}  # per-section timing -> manifest (scaling diagnostics)
-        next_frontier = ckpt.wave_dir(out_dir, "frontier", wave + 1)
-        _clear_dir(next_frontier)
-        _clear_dir(ckpt.wave_dir(out_dir, "ledger", wave))
+        next_frontier = ckpt.frontier_dir(out_dir, wave + 1)
+        ledger_dir = ckpt.ledger_dir(out_dir, wave)
+        ckpt.reset_dir(next_frontier)
+        ckpt.reset_dir(ledger_dir)
         # the size switch picks the executor; both run the same kernels
         run_wave = _run_wave_streamed if pending_count > DRIVER_PATH_MAX_ROWS else _run_wave_driver
         inserted = run_wave(
@@ -852,14 +816,13 @@ def run_crawl(
         )
         next_seq += inserted
         stats.inserted += inserted
-        pending_next = _frontier_row_count(next_frontier)
-        admitted_n = pending_count - (pending_next - inserted)
-        pending_count = pending_next
+        pending_count = ckpt.footer_sums(ckpt.parquet_files(next_frontier))[0]
 
         # ---- checkpoint (common tail): counters from this wave's ledger
         # footers, actor-side seen snapshots, manifest
         t_sec = time.time()
-        counts = _wave_counts(ckpt.wave_dir(out_dir, "ledger", wave))
+        counts = dict.fromkeys(LEDGER_COUNTERS, 0)
+        counts.update(ckpt.footer_sums(ckpt.parquet_files(ledger_dir))[1])
         for k, v in counts.items():
             setattr(stats, k, getattr(stats, k) + v)
         snap_paths = snapshot_all_to(
@@ -881,10 +844,6 @@ def run_crawl(
                 "sections": {**sec, "ckpt": round(time.time() - t_sec, 3)},
             },
         )
-        stats.per_wave.append(
-            {"wave": wave, "admitted": int(admitted_n), "pending": int(pending_count),
-             "sec": round(time.time() - wave_t0, 3)}
-        )
         wave += 1
 
     stats.waves = wave
@@ -895,27 +854,48 @@ def run_crawl(
     return stats
 
 
-def _read_frontier(path_dir: str) -> pa.Table:
-    """One wave's frontier partition files as one driver table."""
-    return pq.read_table(path_dir)
-
-
 def load_ledger(out_dir: str, include_pending: bool = True) -> pd.DataFrame:
     """Read the full ledger (all wave partitions), sorted by seq.
 
     With include_pending, frontier rows never fetched are appended with
     wave=-1 and all flags false — matching the oracle's ledger of inserted
     rows."""
-    import glob
-
     import pyarrow.dataset as pads
 
-    parts = sorted(glob.glob(os.path.join(out_dir, "ledger", "wave=*", "*.parquet")))
+    parts, pending = ckpt.output_files(out_dir)
     # multithreaded C++ scan across the many per-bucket partition files
     tables = [pads.dataset(parts, format="parquet", schema=LEDGER_SCHEMA).to_table()]
-    if include_pending:
-        fdirs = sorted(glob.glob(os.path.join(out_dir, "frontier", "wave=*")))
-        if fdirs:
-            tables.append(_ledger_rows(_read_frontier(fdirs[-1]), -1))
+    if include_pending and pending:
+        tables.append(_ledger_rows(pq.read_table(pending, partitioning=None), -1))
     ledger = pa.concat_tables(tables).sort_by("seq")
     return ledger.to_pandas()
+
+
+def ledger_dataset(
+    out_dir: str,
+    columns: list[str] | None = None,
+    include_pending: bool = True,
+) -> "ray.data.Dataset":
+    """The crawl ledger as a streaming Dataset with column pruning pushed
+    into the Parquet read — the 100 TB path (only 3 of the 13 ledger
+    consumers need the text column; none need html).  With include_pending,
+    still-pending frontier rows are unioned in as wave=-1 rows with all
+    flags false (``load_ledger``'s semantics).
+
+    The read takes its columns' LEDGER_SCHEMA fields, which carry no
+    key-value metadata: Ray Data hashes block schemas, and pyarrow's
+    ``Schema.__hash__`` raises on the footers' ``ledger_counts`` dict."""
+    want = columns or LEDGER_SCHEMA.names
+    schema = pa.schema([LEDGER_SCHEMA.field(c) for c in want])
+    parts, pending = ckpt.output_files(out_dir)
+    if parts:
+        ds = ray.data.read_parquet(parts, columns=columns, schema=schema)
+    else:  # pending-only output (0 waves ran): zero-row ledger, REAL dtypes
+        ds = ray.data.from_arrow(schema.empty_table())
+    if include_pending and ckpt.footer_sums(pending)[0]:
+        ds = ds.union(
+            ray.data.read_parquet(pending).map_batches(
+                lambda b: _ledger_rows(b, -1).select(want), batch_format="pyarrow"
+            )
+        )
+    return ds

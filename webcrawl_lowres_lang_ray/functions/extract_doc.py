@@ -2,48 +2,25 @@
 nlp.py:90-115).
 
 * html  — real (functions/html_text.py, the byte-identical invariant path);
-* pdf   — PyPDF2 page-loop semantics (nlp.py:100-109) when PyPDF2 is
-          importable; otherwise the stdlib Flate/literal-string kernel in
-          functions/pdfmini.py (real extraction for the PDF subset the
-          pipeline produces; documented divergences in that module);
-* docx  — python-docx paragraphs joined with " " (nlp.py:110-112) when
-          importable; otherwise the stdlib OOXML kernel in
-          functions/docxmini.py (same join semantics via zipfile + etree);
+* pdf   — the stdlib Flate/literal-string kernel in functions/pdfmini.py
+          (the reference's PyPDF2 page loop, nlp.py:100-109, for the PDF
+          subset the pipeline produces; documented divergences there);
+* docx  — the stdlib OOXML kernel in functions/docxmini.py (python-docx
+          paragraphs joined with " ", nlp.py:110-112, via zipfile + etree);
 * other — returns None (the reference prints and returns None,
           nlp.py:113-115), which the rejection policy maps to
           "no extracted text" (lrl-crawler.py:431-433).
+
+The kernels are used whether or not PyPDF2 or python-docx is installed:
+the crawl's ledger text, the synthetic corpus goldens and every cache keyed
+on them must not depend on which optional packages a host has.
 """
 
 from __future__ import annotations
 
-import io
-
+from .docxmini import extract_docx_text
 from .html_text import extract_text_from_html_bytes
-
-
-def extract_pdf_bytes(data: bytes) -> str:
-    try:
-        import PyPDF2  # noqa: F401
-    except ImportError:
-        from .pdfmini import extract_pdf_text
-
-        return extract_pdf_text(data)
-    reader = PyPDF2.PdfReader(io.BytesIO(data))
-    text = ""
-    for page in reader.pages:
-        text += page.extract_text()
-    return text
-
-
-def extract_docx_bytes(data: bytes) -> str:
-    try:
-        import docx  # noqa: F401
-    except ImportError:
-        from .docxmini import extract_docx_text
-
-        return extract_docx_text(data)
-    d = docx.Document(io.BytesIO(data))
-    return " ".join(p.text for p in d.paragraphs)
+from .pdfmini import extract_pdf_text
 
 
 def extract_text_auto(data: bytes, doc_type: str) -> str | None:
@@ -51,9 +28,9 @@ def extract_text_auto(data: bytes, doc_type: str) -> str | None:
     if doc_type == "html":
         return extract_text_from_html_bytes(data)
     if doc_type == "pdf":
-        return extract_pdf_bytes(data)
+        return extract_pdf_text(data)
     if doc_type == "docx":
-        return extract_docx_bytes(data)
+        return extract_docx_text(data)
     return None
 
 

@@ -182,18 +182,14 @@ def run_oracle(corpus_dir: str, cfg: CrawlConfig | None = None) -> OracleResult:
             row["doc_type"] = dt or ""
             row["file_hash"] = sha256_bytes(html)
 
-            # NLP stage (M5 dispatch: pdf/docx via the real stdlib kernels
-            # when PyPDF2/python-docx are absent; unknown -> None, scored as
-            # empty text — reference nlp.py:113-115)
+            # NLP stage (M5 dispatch: pdf/docx via the stdlib pdfmini/
+            # docxmini kernels; unknown -> None, scored as empty text —
+            # reference nlp.py:113-115)
             page_links: list[str] = []
             if dt == "html":
                 text, page_links = extract_text_and_links(html)
             else:
-                try:
-                    text = extract_text_auto(html, dt) if dt else None
-                except NotImplementedError:
-                    text = None
-                text = text or ""
+                text = (extract_text_auto(html, dt) if dt else None) or ""
             row["text"] = text
             sr = scorer.score_text_reference(text)
             row["handled"] = True

@@ -17,7 +17,7 @@ import pandas as pd
 import ray.data
 
 from ..config import CrawlConfig
-from ..frontier import run_crawl
+from ..frontier import ledger_dataset, run_crawl
 from ..sources.synth import corpus_dir_for_sf, load_lexicon
 
 # generous politeness budget so the per-round driver check stays fast while
@@ -25,39 +25,6 @@ from ..sources.synth import corpus_dir_for_sf, load_lexicon
 QUERY_CFG = CrawlConfig(per_host_per_wave=32)
 
 _RUN_CACHE: dict[str, str] = {}
-
-
-def ledger_dataset(
-    out_dir: str,
-    columns: list[str] | None = None,
-    include_pending: bool = True,
-) -> "ray.data.Dataset":
-    """The crawl ledger as a streaming Dataset with column pruning pushed
-    into the Parquet read — the 100 TB path (only 3 of the 13 ledger
-    consumers need the text column; none need html).  With include_pending,
-    still-pending frontier rows are unioned in as wave=-1 rows with all
-    flags false (matching frontier.load_ledger's driver-frame semantics)."""
-    import glob
-
-    import pyarrow.parquet as pq
-
-    from ..frontier import LEDGER_SCHEMA, _ledger_rows
-
-    want = columns or LEDGER_SCHEMA.names
-    parts = sorted(glob.glob(os.path.join(out_dir, "ledger", "wave=*", "*.parquet")))
-    if parts:
-        ds = ray.data.read_parquet(parts, columns=columns)
-    else:  # pending-only output (0 waves ran): zero-row ledger, REAL dtypes
-        ds = ray.data.from_arrow(LEDGER_SCHEMA.empty_table().select(want))
-    if include_pending:
-        fdirs = sorted(glob.glob(os.path.join(out_dir, "frontier", "wave=*")))
-        ffiles = sorted(glob.glob(os.path.join(fdirs[-1], "*.parquet"))) if fdirs else []
-        if ffiles and sum(pq.read_metadata(f).num_rows for f in ffiles):
-            pend = ray.data.read_parquet(ffiles).map_batches(
-                lambda b: _ledger_rows(b, -1).select(want), batch_format="pyarrow"
-            )
-            ds = ds.union(pend)
-    return ds
 
 
 def crawl_output_dir(sf_dir: str) -> str:

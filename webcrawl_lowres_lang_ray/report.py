@@ -201,7 +201,7 @@ def engine_breakdown(ledger: "ray.data.Dataset") -> pd.DataFrame:
 
 def full_report(out_dir: str) -> dict[str, pd.DataFrame]:
     """The display.stats equivalent: every report over one ledger read."""
-    from .pipelines.crawl_queries import ledger_dataset
+    from .frontier import ledger_dataset
 
     led = ledger_dataset(out_dir, include_pending=False).materialize()
     return {

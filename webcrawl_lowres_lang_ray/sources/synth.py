@@ -225,10 +225,7 @@ def _score_chunk(args: tuple[list[bytes], list]) -> tuple[list[str], list[str]]:
         if dt == "html":
             t = extract_text_from_html_bytes(h)
         else:
-            try:
-                t = (extract_text_auto(h, dt) if dt else None) or ""
-            except NotImplementedError:
-                t = ""
+            t = (extract_text_auto(h, dt) if dt else None) or ""
         texts.append(t)
         if not t and dt != "html":
             langs.append("<NONE>")

@@ -171,11 +171,6 @@ def lexicon_growth_experiment(
     return curve, lex
 
 
-def bootstrap_lexicon_from_text(text: str) -> dict[str, int]:
-    """N8 (extract.py:81-148): seed-document -> unigram frequency dict."""
-    return bootstrap_lexicons_from_text(text)[0]
-
-
 def bootstrap_lexicons_from_text(text: str) -> tuple[dict[str, int], dict[str, int]]:
     """N8, full surface: the reference writes BOTH ``unigram_words_*.json``
     and ``bigram_words_*.json`` (extract.py:113-120) — unigrams and the
@@ -201,9 +196,10 @@ def bootstrap_from_registry(
     read its seed document and write both frequency dicts.  Registry shape
     mirrors config.json:66-104: ``{"Maori": {"path": ".../udhr_mi.txt"},
     ...}``.  ``.txt`` seeds are read directly; ``.pdf`` seeds dispatch to
-    the import-gated PDF extractor (extract.py:17-32 pdfminer path);
-    anything else is the reference's unsupported-type error."""
-    from ..functions.extract_doc import extract_pdf_bytes
+    the stdlib PDF kernel (functions/pdfmini.py; the reference's
+    extract.py:17-32 pdfminer path); anything else is the reference's
+    unsupported-type error."""
+    from ..functions.pdfmini import extract_pdf_text
 
     outs: dict[str, tuple[str, str]] = {}
     found = False
@@ -217,7 +213,7 @@ def bootstrap_from_registry(
                 text = f.read()
         elif path.endswith(".pdf"):
             with open(path, "rb") as f:
-                text = extract_pdf_bytes(f.read())
+                text = extract_pdf_text(f.read())
         else:
             raise ValueError(
                 f"unsupported seed file type for {path}: only pdf and txt"

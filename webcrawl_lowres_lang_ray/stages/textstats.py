@@ -71,13 +71,6 @@ def add_token_counts_frame(b: pd.DataFrame, text_col: str = "text") -> pd.DataFr
     return b
 
 
-def add_token_counts(ds: "ray.data.Dataset", text_col: str = "text") -> "ray.data.Dataset":
-    def fn(b: pd.DataFrame) -> pd.DataFrame:
-        return add_token_counts_frame(b, text_col)
-
-    return ds.map_batches(fn, batch_format="pandas")
-
-
 def fingerprint(text: str) -> str:
     """Document fingerprint: md5 of whitespace-normalized lowercase text."""
     normalized = _WS_RE.sub(" ", text.lower()).strip()

@@ -412,55 +412,6 @@ def running_window_cols(
     )
 
 
-def moving_avg_cols(
-    ds: "ray.data.Dataset",
-    key_col: str = "user_id",
-    ts_col: str = "ts",
-    id_col: str = "event_id",
-    value_col: str = "value",
-    window: int = 3,
-    parts: int = 64,
-    round_dp: int = 4,
-) -> "ray.data.Dataset":
-    """Bounded window frame — SQL ``avg(value) OVER (PARTITION BY key
-    ORDER BY ts, id ROWS BETWEEN window-1 PRECEDING AND CURRENT ROW)``:
-    the trailing-window smoothing of an event stream.  Same one-shuffle
-    key-partition plan as ``running_window_cols``; the frame itself is a
-    vectorized grouped ``rolling(window, min_periods=1).mean()``."""
-
-    def add_part(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[[id_col, key_col, ts_col, value_col]].copy()
-        b["__p"] = (
-            pd.util.hash_array(b[key_col].to_numpy(np.int64)) % np.uint64(parts)
-        ).astype(np.int64)
-        return b
-
-    def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key_col, ts_col, id_col], kind="mergesort").reset_index(
-            drop=True
-        )
-        mov = (
-            g.groupby(key_col, sort=False)[value_col]
-            .rolling(window, min_periods=1)
-            .mean()
-            .reset_index(drop=True)
-            .to_numpy(np.float64)
-        )
-        return pd.DataFrame(
-            {
-                id_col: g[id_col].to_numpy(np.int64),
-                key_col: g[key_col].to_numpy(np.int64),
-                "moving_avg": round_half_away(mov, round_dp),
-            }
-        )
-
-    return (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("__p")
-        .map_groups(per_part, batch_format="pandas")
-    )
-
-
 def event_funnel(
     events: "ray.data.Dataset",
     steps: list[str],

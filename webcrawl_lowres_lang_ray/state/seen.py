@@ -51,6 +51,7 @@ import threading
 import numpy as np
 import ray
 
+from ..checkpoint import write_atomic
 from .robots import RobotsCache
 
 _EVICTION_LIMIT = 500
@@ -205,7 +206,6 @@ class SeenShard:
         self.shard_id = shard_id
         self.recent: set[bytes] = set()
         self.runs: list[np.ndarray] = []
-        self._run_paths: list[str] = []
         self._nrun_keys = 0
         self.cuckoo = CuckooFilter(capacity)
 
@@ -307,29 +307,24 @@ class SeenShard:
         RAM copy is dropped.  After this call the actor's exact-key RAM is
         empty; membership answers are unchanged (cuckoo gate -> run probe)."""
         blob = b"".join(sorted(self.recent))
-        with open(path + ".tmp", "wb") as f:
-            f.write(blob)
-        os.replace(path + ".tmp", path)
+        write_atomic(path, blob)
         if blob:
             run = _load_run(path)
             self.runs.append(run)
-            self._run_paths.append(path)
             self._nrun_keys += len(run)
         self.recent = set()
         return path
 
-    def restore_from(self, paths: list[str], key_len: int = KEY_LEN) -> int:
+    def restore_from(self, paths: list[str]) -> int:
         """Rebuild from delta files (one per checkpointed wave): each becomes
         a paged run; the cuckoo filter is rebuilt by one sequential scan."""
         self.recent = set()
         self.runs = []
-        self._run_paths = []
         self._nrun_keys = 0
         for path in paths:
             run = _load_run(path)
             if run is not None:
                 self.runs.append(run)
-                self._run_paths.append(path)
                 self._nrun_keys += len(run)
         self.cuckoo = CuckooFilter(max(1 << 16, 2 * self._nrun_keys))
         for run in self.runs:
@@ -363,13 +358,13 @@ class SeenShardsAndRobots:
     each seen call splits its digest blob by owning shard here, so callers
     send one RPC per batch."""
 
-    def __init__(self, num_shards: int, capacity: int = 1 << 16):
-        self.shards = [SeenShard(i, capacity) for i in range(num_shards)]
+    def __init__(self, num_shards: int):
+        self.shards = [SeenShard(i) for i in range(num_shards)]
         self.robots: RobotsCache | None = None  # set by load_robots
 
-    def reset(self, num_shards: int, capacity: int = 1 << 16) -> None:
+    def reset(self, num_shards: int) -> None:
         """The state of a fresh actor: empty shards, no robots cache."""
-        self.__init__(num_shards, capacity)
+        self.__init__(num_shards)
 
     def release(self) -> None:
         """Drop the finished crawl's keys, cuckoo filters, run-file maps and
@@ -460,7 +455,7 @@ def _session_key() -> tuple[str, str]:
     return ctx.get_node_id(), ctx.get_job_id()
 
 
-def create_seen_shards(num_shards: int, capacity_hint: int = 1 << 16):
+def create_seen_shards(num_shards: int):
     """The crawl's state actor, owning ``num_shards`` empty shards, as a list
     (the handle list every ``seen_*`` helper and, once
     ``robots.create_robots_actors`` has loaded its source, every robots
@@ -477,11 +472,11 @@ def create_seen_shards(num_shards: int, capacity_hint: int = 1 << 16):
         idle, _idle = _idle, None
     if idle is not None and idle[0] == _session_key():
         try:
-            ray.get(idle[1].reset.remote(num_shards, capacity_hint))
+            ray.get(idle[1].reset.remote(num_shards))
             return [idle[1]]
         except ray.exceptions.RayActorError:
             pass
-    return [SeenShardsAndRobots.remote(num_shards, capacity_hint)]
+    return [SeenShardsAndRobots.remote(num_shards)]
 
 
 def release_seen_shards(shards) -> None:
