@@ -188,6 +188,50 @@ class TestPagerank:
         assert a["out_links"].sum() == a["in_links"].sum()
         assert (a["out_peer_hosts"] <= a["out_links"]).all()
 
+    def test_crawl_host_degrees_match_pandas(self):
+        """Per host: out/in link sums and distinct out-peers, recomputed in
+        pandas from the URL edge list."""
+        from urllib.parse import urlparse
+
+        from webcrawl_lowres_lang_ray.pipelines.crawl_queries import (
+            _corpus_link_edges,
+            q_crawl_host_degrees,
+        )
+        from webcrawl_lowres_lang_ray.sources.synth import corpus_dir_for_sf
+
+        sf = "/root/testdata/sf0.001"
+        urls = _corpus_link_edges(corpus_dir_for_sf(sf)).to_pandas()
+        e = pd.DataFrame(
+            {
+                "src": [urlparse(u).netloc for u in urls["src_url"]],
+                "dst": [urlparse(u).netloc for u in urls["dst_url"]],
+            }
+        )
+        hosts = sorted(set(e["src"]) | set(e["dst"]))
+        want = pd.DataFrame(
+            {
+                "host": hosts,
+                "out_links": e.groupby("src").size().reindex(hosts, fill_value=0).to_numpy(np.int64),
+                "in_links": e.groupby("dst").size().reindex(hosts, fill_value=0).to_numpy(np.int64),
+                "out_peer_hosts": e.groupby("src")["dst"].nunique().reindex(hosts, fill_value=0).to_numpy(np.int64),
+            }
+        )
+        pd.testing.assert_frame_equal(q_crawl_host_degrees(sf), want)
+
+    def test_crawl_host_degrees_runs_no_pagerank(self, monkeypatch):
+        """Degrees read the edges alone; no PageRank plan may run."""
+        from webcrawl_lowres_lang_ray.pipelines.crawl_queries import (
+            q_crawl_host_degrees,
+        )
+        from webcrawl_lowres_lang_ray.stages import graph
+
+        def boom(*a, **k):
+            raise AssertionError("q_crawl_host_degrees ran PageRank")
+
+        for name in ("pagerank_auto", "pagerank", "pagerank_broadcast"):
+            monkeypatch.setattr(graph, name, boom)
+        assert len(q_crawl_host_degrees("/root/testdata/sf0.001")) > 0
+
 
 class TestPagerankAuto:
     def test_dispatch_paths_agree(self, monkeypatch):

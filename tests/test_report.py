@@ -96,6 +96,51 @@ class TestReport:
         scored = led_df.loc[led_df["downloaded"] & led_df["handled"]]
         assert int(h["n_conf"].sum()) == len(scored)
 
+    def test_accepted_texts_match_pandas(self, crawl_out):
+        from webcrawl_lowres_lang_ray.frontier import accepted_texts, load_ledger
+
+        led = load_ledger(crawl_out, include_pending=False)
+        want = sorted(led.loc[led["downloaded"] & ~led["rejected"], "text"])
+        got = accepted_texts(crawl_out).to_pandas()
+        assert list(got.columns) == ["text"]
+        assert want and sorted(got["text"]) == want
+
+    def test_crawl_stats_report_matches_pandas(self):
+        """q_crawl_stats_report (pending rows included) against the same
+        stats computed in pandas from load_ledger."""
+        from webcrawl_lowres_lang_ray.frontier import load_ledger
+        from webcrawl_lowres_lang_ray.pipelines.crawl_queries import (
+            crawl_output_dir,
+            q_crawl_stats_report,
+        )
+
+        sf = "/root/testdata/sf0.001"
+        got = q_crawl_stats_report(sf)
+        led = load_ledger(crawl_output_dir(sf), include_pending=True)
+        rows = [("total_urls", "", len(led))]
+        for stat, col in [
+            ("downloaded", "downloaded"), ("failed", "downloaded_failed"),
+            ("rejected", "rejected"), ("skipped_relative", "skipped_relative"),
+            ("robots_blocked", "robots_blocked"),
+        ]:
+            rows.append((stat, "", led[col].sum()))
+        verdicts = led.loc[led["nlp_full_lang"] != "", "nlp_full_lang"].value_counts()
+        rows += [("verdict", v, n) for v, n in verdicts.items()]
+        hosts = led.loc[led["host"] != "", "host"].value_counts()
+        top = sorted(hosts.items(), key=lambda hn: (-hn[1], hn[0]))[:10]
+        rows += [("top_domain", h, n) for h, n in top]
+        conf = led.loc[led["downloaded"] & led["handled"], "nlp_full_confidence"]
+        deciles = np.clip((conf * 10).astype(np.int64), 0, 9).value_counts()
+        rows += [("confidence_decile", str(d), n) for d, n in deciles.items()]
+        want = (
+            pd.DataFrame(rows, columns=["stat", "key", "value"])
+            .astype({"value": np.float64})
+            .sort_values(["stat", "key"], kind="mergesort")
+            .reset_index(drop=True)
+        )
+        assert len(want) > 20
+        pd.testing.assert_frame_equal(got, want)
+
     def test_zero_wave_report_counts_zero(self, tiny_corpus, tmp_path):
         """A crawl stopped before its first wave has no ledger partitions:
         the report still runs, and every count in it is zero."""

@@ -96,25 +96,13 @@ def main(argv=None):
             print(f"==== {name} ====")
             print(df.to_string(index=False))
     elif args.cmd == "regen-lexicon":
-        import pandas as pd
-
-        from .frontier import ledger_dataset
+        from .frontier import accepted_texts
         from .sources.synth import load_lexicon
         from .stages.lexicon import regenerate_lexicon
         from .config import CrawlConfig
 
-        # pruned streaming read (text + 2 flags only) — the ledger is never
-        # a driver frame, matching the 100 TB path
-        docs = ledger_dataset(
-            args.out,
-            columns=["text", "downloaded", "rejected"],
-            include_pending=False,
-        ).map_batches(
-            lambda b: b.loc[b["downloaded"] & ~b["rejected"], ["text"]],
-            batch_format="pandas",
-        )
         grown = regenerate_lexicon(
-            docs, load_lexicon(args.corpus), CrawlConfig(),
+            accepted_texts(args.out), load_lexicon(args.corpus), CrawlConfig(),
             algorithm=args.algorithm, output_mode=args.output_mode,
         )
         print(json.dumps({"tokens": len(grown), "total_count": sum(grown.values())}))

@@ -899,3 +899,16 @@ def ledger_dataset(
             )
         )
     return ds
+
+
+def accepted_texts(out_dir: str) -> "ray.data.Dataset":
+    """The ``text`` of every fetched, unrejected ledger row — the lexicon
+    loop's input — as a streaming Dataset pruned at the read."""
+    return ledger_dataset(
+        out_dir, columns=["text", "downloaded", "rejected"], include_pending=False
+    ).map_batches(
+        lambda t: t.filter(
+            pc.and_(t["downloaded"], pc.invert(t["rejected"]))
+        ).select(["text"]),
+        batch_format="pyarrow",
+    )

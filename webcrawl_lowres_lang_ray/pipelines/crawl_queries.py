@@ -17,7 +17,7 @@ import pandas as pd
 import ray.data
 
 from ..config import CrawlConfig
-from ..frontier import ledger_dataset, run_crawl
+from ..frontier import accepted_texts, ledger_dataset, run_crawl
 from ..sources.synth import corpus_dir_for_sf, load_lexicon
 
 # generous politeness budget so the per-round driver check stays fast while
@@ -99,69 +99,42 @@ def q_crawl_seen_membership(sf_dir: str):
 
 
 def q_crawl_stats_report(sf_dir: str) -> pd.DataFrame:
-    """The display.stats suite (display.py:7-198) over the crawl ledger:
-    verdict counts, rejection counts, per-host top-10, confidence deciles.
-    Every aggregate runs distributed; only the tiny report rows reach the
+    """The display.stats suite (display.py:7-198) over the crawl ledger,
+    pending rows included: outcome totals, verdict counts, per-host top-10
+    and confidence deciles, each from its ``report.py`` aggregate.  Every
+    aggregate runs distributed; only the tiny report rows reach the
     driver."""
-    from ..report import partitioned_key_counts
+    from ..report import (
+        confidence_histogram,
+        outcome_counts,
+        per_domain_counts,
+        verdict_counts,
+    )
 
     led = ledger_dataset(
         crawl_output_dir(sf_dir),
         columns=[
             "downloaded", "downloaded_failed", "rejected", "skipped_relative",
             "robots_blocked", "nlp_full_lang", "host", "handled",
-            "nlp_full_confidence",
+            "nlp_full_confidence", "nlp_para_perc_lrl",
         ],
     ).materialize()
-    rows: list[tuple[str, str, float]] = []
-
-    def flag_partial(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "total_urls": [np.int64(len(b))],
-                "downloaded": [np.int64(b["downloaded"].sum())],
-                "failed": [np.int64(b["downloaded_failed"].sum())],
-                "rejected": [np.int64(b["rejected"].sum())],
-                "skipped_relative": [np.int64(b["skipped_relative"].sum())],
-                "robots_blocked": [np.int64(b["robots_blocked"].sum())],
-            }
-        )
-
-    flags = led.map_batches(flag_partial, batch_format="pandas").to_pandas().sum()
-    for k in ["total_urls", "downloaded", "failed", "rejected",
-              "skipped_relative", "robots_blocked"]:
-        rows.append((k, "", float(flags[k])))
-
-    verd = partitioned_key_counts(
-        led.select_columns(["nlp_full_lang"]), "nlp_full_lang"
-    ).to_pandas()
-    for verdict, n in zip(verd["nlp_full_lang"], verd["n"]):
-        if verdict:
-            rows.append(("verdict", verdict, float(n)))
-    # per-domain counts: top 10 (G10, sql.py:884-940)
-    hosts = (
-        partitioned_key_counts(led.select_columns(["host"]), "host")
-        .filter(expr="host != ''")
-        .sort(["n", "host"], descending=[True, False])
-        .limit(10)
-        .to_pandas()
-    )
-    for host, n in zip(hosts["host"], hosts["n"]):
-        rows.append(("top_domain", host, float(n)))
-
-    # confidence deciles (G11, sql.py:943-1044): one bucketize pass
-    def decile_partial(b: pd.DataFrame) -> pd.DataFrame:
-        scored = b.loc[b["handled"] & b["downloaded"], "nlp_full_confidence"]
-        dec = np.clip((scored * 10).astype(np.int64), 0, 9)
-        vc = pd.Series(dec).value_counts()
-        return pd.DataFrame({"decile": vc.index.to_numpy(np.int64),
-                             "n": vc.to_numpy(np.int64)})
-
-    dec = led.map_batches(decile_partial, batch_format="pandas").to_pandas()
-    for b, n in dec.groupby("decile")["n"].sum().sort_index().items():
-        rows.append(("confidence_decile", str(int(b)), float(n)))
+    flags = outcome_counts(led).iloc[0].rename({"total": "total_urls"})
+    rows = [(k, "", float(n)) for k, n in flags.items()]
+    verd = verdict_counts(led)
+    rows += [
+        ("verdict", v, float(n)) for v, n in zip(verd["nlp_full_lang"], verd["n"]) if v
+    ]
+    top = per_domain_counts(led).query("which == 'top'")
+    rows += [("top_domain", h, float(n)) for h, n in zip(top["host"], top["n"])]
+    # the histogram's outer merge with the para-percentage deciles can
+    # carry a confidence decile nobody fell in
+    dec = confidence_histogram(led)
+    rows += [
+        ("confidence_decile", str(int(d)), float(n))
+        for d, n in zip(dec["decile"], dec["n_conf"]) if n
+    ]
     out = pd.DataFrame(rows, columns=["stat", "key", "value"])
-    # verdict rows follow partition order — canonicalize for rerun determinism
     return out.sort_values(["stat", "key"], kind="mergesort").reset_index(drop=True)
 
 
@@ -375,17 +348,9 @@ def q_lexicon_regen(sf_dir: str) -> pd.DataFrame:
     accepted texts."""
     from ..stages.lexicon import regenerate_lexicon
 
-    corpus = corpus_dir_for_sf(sf_dir)
-
-    def keep_accepted(b: pd.DataFrame) -> pd.DataFrame:
-        return b.loc[b["downloaded"] & ~b["rejected"], ["text"]]
-
-    docs = ledger_dataset(
-        crawl_output_dir(sf_dir),
-        columns=["text", "downloaded", "rejected"],
-        include_pending=False,
-    ).map_batches(keep_accepted, batch_format="pandas")
-    grown = regenerate_lexicon(docs, load_lexicon(corpus), QUERY_CFG, output_mode="merge")
+    docs = accepted_texts(crawl_output_dir(sf_dir))
+    lex = load_lexicon(corpus_dir_for_sf(sf_dir))
+    grown = regenerate_lexicon(docs, lex, QUERY_CFG, output_mode="merge")
     out = pd.DataFrame(
         {"token": list(grown.keys()), "count": list(grown.values())}
     ).sort_values("token").reset_index(drop=True)
@@ -402,18 +367,11 @@ def q_lexicon_growth(sf_dir: str) -> pd.DataFrame:
     monotone growth pinned in tests/test_stages.py."""
     from ..stages.lexicon import lexicon_growth_experiment
 
-    corpus = corpus_dir_for_sf(sf_dir)
-
-    def keep_accepted(b: pd.DataFrame) -> pd.DataFrame:
-        return b.loc[b["downloaded"] & ~b["rejected"], ["text"]]
-
-    docs = ledger_dataset(
-        crawl_output_dir(sf_dir),
-        columns=["text", "downloaded", "rejected"],
-        include_pending=False,
-    ).map_batches(keep_accepted, batch_format="pandas")
     curve, _ = lexicon_growth_experiment(
-        docs, load_lexicon(corpus), QUERY_CFG, phases=3
+        accepted_texts(crawl_output_dir(sf_dir)),
+        load_lexicon(corpus_dir_for_sf(sf_dir)),
+        QUERY_CFG,
+        phases=3,
     )
     return curve
 
@@ -469,6 +427,58 @@ def _corpus_link_ranks(corpus: str):
         n_edges=edge_urls.count(),
     )
     return edge_urls, ranks_ds
+
+
+def _host_graph(corpus: str) -> "ray.data.Dataset":
+    """The corpus link graph with each URL collapsed to its host: one
+    (src, dst, src_host, dst_host) row per link, ids from ``url_ids`` of
+    the host names, materialized for the graph operator and the name join
+    that both read it."""
+    from urllib.parse import urlparse
+
+    from ..stages.graph import url_ids
+
+    def host_edges(b: pd.DataFrame) -> pd.DataFrame:
+        src = [urlparse(u).netloc for u in b["src_url"]]
+        dst = [urlparse(u).netloc for u in b["dst_url"]]
+        return pd.DataFrame(
+            {
+                "src": url_ids(src),
+                "dst": url_ids(dst),
+                "src_host": np.array(src, dtype=object),
+                "dst_host": np.array(dst, dtype=object),
+            }
+        )
+
+    edges = _corpus_link_edges(corpus)
+    return edges.map_batches(host_edges, batch_format="pandas").materialize()
+
+
+def _host_names(hedges: "ray.data.Dataset") -> pd.DataFrame:
+    """The (id, host) frame of every host on either end of a
+    ``_host_graph`` edge, built by the combiner pattern (first-wins:
+    md5-derived ids are 1:1 with hosts) — as large as the host-level
+    output it names, never the edge list."""
+    from ..stages.agg import combiner_agg
+
+    def vocab(b: pd.DataFrame) -> pd.DataFrame:
+        return pd.concat(
+            [
+                pd.DataFrame({"id": b["src"], "host": b["src_host"]}),
+                pd.DataFrame({"id": b["dst"], "host": b["dst_host"]}),
+            ]
+        ).drop_duplicates("id")
+
+    return (
+        combiner_agg(
+            hedges.map_batches(vocab, batch_format="pandas"),
+            ["id", "host"],
+            [("n", None, "count")],
+            parts=16,
+        )
+        .to_pandas()[["id", "host"]]
+        .drop_duplicates("id")
+    )
 
 
 def q_crawl_pagerank(sf_dir: str) -> pd.DataFrame:
@@ -620,27 +630,16 @@ def q_crawl_host_degrees(sf_dir: str) -> pd.DataFrame:
     """Host-level link-graph degree statistics: per host, outbound links,
     inbound links, and distinct peer hosts linked to — the connectivity
     report a crawl operator reads before re-budgeting politeness.  Edges
-    come from the shared extraction (`_corpus_link_ranks`'s edge pass);
-    host pairs pre-aggregate per batch (combiner) so the exchange carries
+    come from the shared host graph (`_host_graph`); host pairs
+    pre-aggregate per batch (combiner) so the exchange carries
     (src_host, dst_host, n) partials, never raw edges.  Rows-only gate:
-    determinism + hand-checked toy-graph values in tests/test_graph.py."""
-    from urllib.parse import urlparse
-
+    pandas ground truth over the URL edges + determinism in
+    tests/test_graph.py."""
     from ..stages.agg import combiner_agg
 
-    corpus = corpus_dir_for_sf(sf_dir)
-    edge_urls, _ranks = _corpus_link_ranks(corpus)
-
-    def host_pairs(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "src_host": [urlparse(u).netloc for u in b["src_url"]],
-                "dst_host": [urlparse(u).netloc for u in b["dst_url"]],
-            }
-        )
-
+    hedges = _host_graph(corpus_dir_for_sf(sf_dir))
     pairs = combiner_agg(
-        edge_urls.map_batches(host_pairs, batch_format="pandas"),
+        hedges.select_columns(["src_host", "dst_host"]),
         ["src_host", "dst_host"],
         [("n", None, "count")],
         parts=16,
@@ -754,50 +753,11 @@ def q_crawl_host_triangles(sf_dir: str) -> pd.DataFrame:
     counts — the vocabulary is the same size as the output table.
     Rows-only gate: brute-force oracle parity + hand-built clique values
     in tests/test_graph.py."""
-    from urllib.parse import urlparse
+    from ..stages.graph import triangle_count
 
-    from ..stages.agg import combiner_agg
-    from ..stages.graph import triangle_count, url_ids
-
-    corpus = corpus_dir_for_sf(sf_dir)
-    edge_urls = _corpus_link_edges(corpus)
-
-    def host_edges(b: pd.DataFrame) -> pd.DataFrame:
-        src = [urlparse(u).netloc for u in b["src_url"]]
-        dst = [urlparse(u).netloc for u in b["dst_url"]]
-        return pd.DataFrame(
-            {
-                "src": url_ids(src),
-                "dst": url_ids(dst),
-                "src_host": np.array(src, dtype=object),
-                "dst_host": np.array(dst, dtype=object),
-            }
-        )
-
-    hedges = edge_urls.map_batches(host_edges, batch_format="pandas").materialize()
+    hedges = _host_graph(corpus_dir_for_sf(sf_dir))
     tri = triangle_count(hedges, "src", "dst").to_pandas()
-
-    # (id -> host) vocabulary via the same combiner pattern (first-wins:
-    # md5-derived ids are 1:1 with hosts)
-    def vocab(b: pd.DataFrame) -> pd.DataFrame:
-        f = pd.concat(
-            [
-                pd.DataFrame({"id": b["src"], "host": b["src_host"]}),
-                pd.DataFrame({"id": b["dst"], "host": b["dst_host"]}),
-            ]
-        ).drop_duplicates("id")
-        return f
-
-    names = (
-        combiner_agg(
-            hedges.map_batches(vocab, batch_format="pandas"),
-            ["id", "host"],
-            [("n", None, "count")],
-            parts=16,
-        )
-        .to_pandas()[["id", "host"]]
-        .drop_duplicates("id")
-    )
+    names = _host_names(hedges)
     out = tri.merge(names, on="id", how="left")[["host", "n_triangles"]]
     out["n_triangles"] = out["n_triangles"].astype(np.int64)
     return out.sort_values(
@@ -813,47 +773,11 @@ def q_crawl_host_kcore(sf_dir: str) -> pd.DataFrame:
     Output (host, core_deg) name-joined exactly like
     `q_crawl_host_triangles`.  Rows-only gate: serial peeling oracle
     parity + hand-built clique values in tests/test_graph.py."""
-    from urllib.parse import urlparse
+    from ..stages.graph import kcore
 
-    from ..stages.agg import combiner_agg
-    from ..stages.graph import kcore, url_ids
-
-    corpus = corpus_dir_for_sf(sf_dir)
-    edge_urls = _corpus_link_edges(corpus)
-
-    def host_edges(b: pd.DataFrame) -> pd.DataFrame:
-        src = [urlparse(u).netloc for u in b["src_url"]]
-        dst = [urlparse(u).netloc for u in b["dst_url"]]
-        return pd.DataFrame(
-            {
-                "src": url_ids(src),
-                "dst": url_ids(dst),
-                "src_host": np.array(src, dtype=object),
-                "dst_host": np.array(dst, dtype=object),
-            }
-        )
-
-    hedges = edge_urls.map_batches(host_edges, batch_format="pandas").materialize()
+    hedges = _host_graph(corpus_dir_for_sf(sf_dir))
     core = kcore(hedges, k=3, src_col="src", dst_col="dst").to_pandas()
-
-    def vocab(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.concat(
-            [
-                pd.DataFrame({"id": b["src"], "host": b["src_host"]}),
-                pd.DataFrame({"id": b["dst"], "host": b["dst_host"]}),
-            ]
-        ).drop_duplicates("id")
-
-    names = (
-        combiner_agg(
-            hedges.map_batches(vocab, batch_format="pandas"),
-            ["id", "host"],
-            [("n", None, "count")],
-            parts=16,
-        )
-        .to_pandas()[["id", "host"]]
-        .drop_duplicates("id")
-    )
+    names = _host_names(hedges)
     out = core.merge(names, on="id", how="left")[["host", "deg"]].rename(
         columns={"deg": "core_deg"}
     )
@@ -872,30 +796,14 @@ def q_crawl_host_distance(sf_dir: str) -> pd.DataFrame:
     depth by host" report — which hosts are N clicks from the seeds —
     and the reachability pre-check before budgeting a deeper crawl.
     Rows-only gate: serial BFS oracle parity in tests/test_graph.py."""
-    import os
     from urllib.parse import urlparse
 
     import pyarrow.parquet as pq
 
-    from ..stages.agg import combiner_agg
     from ..stages.graph import bfs_distance, url_ids
 
     corpus = corpus_dir_for_sf(sf_dir)
-    edge_urls = _corpus_link_edges(corpus)
-
-    def host_edges(b: pd.DataFrame) -> pd.DataFrame:
-        src = [urlparse(u).netloc for u in b["src_url"]]
-        dst = [urlparse(u).netloc for u in b["dst_url"]]
-        return pd.DataFrame(
-            {
-                "src": url_ids(src),
-                "dst": url_ids(dst),
-                "src_host": np.array(src, dtype=object),
-                "dst_host": np.array(dst, dtype=object),
-            }
-        )
-
-    hedges = edge_urls.map_batches(host_edges, batch_format="pandas").materialize()
+    hedges = _host_graph(corpus)
 
     seeds = pq.read_table(
         os.path.join(corpus, "seeds.parquet"), columns=["url"]
@@ -906,25 +814,7 @@ def q_crawl_host_distance(sf_dir: str) -> pd.DataFrame:
     dist = bfs_distance(
         hedges, seed_ids, col_a="src", col_b="dst", directed=True
     ).to_pandas()
-
-    def vocab(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.concat(
-            [
-                pd.DataFrame({"id": b["src"], "host": b["src_host"]}),
-                pd.DataFrame({"id": b["dst"], "host": b["dst_host"]}),
-            ]
-        ).drop_duplicates("id")
-
-    names = (
-        combiner_agg(
-            hedges.map_batches(vocab, batch_format="pandas"),
-            ["id", "host"],
-            [("n", None, "count")],
-            parts=16,
-        )
-        .to_pandas()[["id", "host"]]
-        .drop_duplicates("id")
-    )
+    names = _host_names(hedges)
     out = dist.merge(names, on="id", how="left")
     # seed hosts that emit no links have no vocabulary row; restore
     seed_map = dict(zip(seed_ids.tolist(), seed_hosts))
@@ -946,47 +836,11 @@ def q_crawl_host_hits(sf_dir: str) -> pd.DataFrame:
     (high authority) — a signal PageRank's single score conflates.
     Rows-only gate: dense numpy oracle parity + star-graph values in
     tests/test_graph.py."""
-    from urllib.parse import urlparse
+    from ..stages.graph import hits
 
-    from ..stages.agg import combiner_agg
-    from ..stages.graph import hits, url_ids
-
-    corpus = corpus_dir_for_sf(sf_dir)
-    edge_urls = _corpus_link_edges(corpus)
-
-    def host_edges(b: pd.DataFrame) -> pd.DataFrame:
-        src = [urlparse(u).netloc for u in b["src_url"]]
-        dst = [urlparse(u).netloc for u in b["dst_url"]]
-        return pd.DataFrame(
-            {
-                "src": url_ids(src),
-                "dst": url_ids(dst),
-                "src_host": np.array(src, dtype=object),
-                "dst_host": np.array(dst, dtype=object),
-            }
-        )
-
-    hedges = edge_urls.map_batches(host_edges, batch_format="pandas").materialize()
+    hedges = _host_graph(corpus_dir_for_sf(sf_dir))
     scores = hits(hedges, "src", "dst")
-
-    def vocab(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.concat(
-            [
-                pd.DataFrame({"id": b["src"], "host": b["src_host"]}),
-                pd.DataFrame({"id": b["dst"], "host": b["dst_host"]}),
-            ]
-        ).drop_duplicates("id")
-
-    names = (
-        combiner_agg(
-            hedges.map_batches(vocab, batch_format="pandas"),
-            ["id", "host"],
-            [("n", None, "count")],
-            parts=16,
-        )
-        .to_pandas()[["id", "host"]]
-        .drop_duplicates("id")
-    )
+    names = _host_names(hedges)
     out = scores.merge(names, on="id", how="left")[["host", "hub", "auth"]]
     return out.sort_values(
         ["auth", "hub", "host"], ascending=[False, False, True], kind="mergesort"

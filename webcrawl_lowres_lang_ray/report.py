@@ -13,35 +13,9 @@ import numpy as np
 import pandas as pd
 
 import ray.data
-from ray.data.aggregate import Count, Max, Mean, Min, Sum
+from ray.data.aggregate import Count, Sum
 
-
-def partitioned_key_counts(
-    ds: "ray.data.Dataset", key: str, parts: int = 64
-) -> "ray.data.Dataset":
-    """groupby(key).count() for HIGH-cardinality keys: per-batch vectorized
-    value_counts (combiner — the exchange carries unique keys, not rows),
-    hash-partitioned merge with one vectorized pandas groupby per partition.
-    Low-cardinality keys can use ray.data's groupby().aggregate directly;
-    per-group dispatch at 10^5+ groups costs ~ms each."""
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        vc = b[key].value_counts()
-        out = pd.DataFrame({key: vc.index, "n": vc.to_numpy(np.int64)})
-        out["kc_part"] = (
-            pd.util.hash_array(out[key].to_numpy(object)) % parts
-        ).astype(np.int64)
-        return out
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.groupby(key, sort=False)["n"].sum().reset_index()
-        return m
-
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("kc_part")
-        .map_groups(merge, batch_format="pandas")
-    )
+from .stages.agg import combiner_agg
 
 
 def verdict_counts(ledger: "ray.data.Dataset") -> pd.DataFrame:
@@ -85,7 +59,9 @@ def dup_url_hash_stats(ledger: "ray.data.Dataset", top: int = 5) -> pd.DataFrame
 
     (The engine's frontier dedups by canonical SHA-1, so duplicates here are
     distinct verbatim URLs sharing an MD5 only through canonicalization.)"""
-    counts = partitioned_key_counts(ledger.select_columns(["url_hash"]), "url_hash")
+    counts = combiner_agg(
+        ledger.select_columns(["url_hash"]), ["url_hash"], [("n", None, "count")], parts=64
+    )
     dups = counts.filter(expr="n > 1")
     return (
         dups.sort(["n", "url_hash"], descending=[True, False]).limit(top).to_pandas()
@@ -95,7 +71,7 @@ def dup_url_hash_stats(ledger: "ray.data.Dataset", top: int = 5) -> pd.DataFrame
 def dup_file_hash_stats(ledger: "ray.data.Dataset", top: int = 5) -> pd.DataFrame:
     """G7 (sql.py:452-492): duplicate content groups + null/absent count."""
     nonempty = ledger.select_columns(["file_hash"]).filter(expr="file_hash != ''")
-    counts = partitioned_key_counts(nonempty, "file_hash")
+    counts = combiner_agg(nonempty, ["file_hash"], [("n", None, "count")], parts=64)
     return (
         counts.filter(expr="n > 1")
         .sort(["n", "file_hash"], descending=[True, False])
@@ -110,8 +86,11 @@ def per_domain_counts(ledger: "ray.data.Dataset", top: int = 10) -> pd.DataFrame
     The reference accumulates a Python dict over every row; here it is a
     distributed groupby on the host column (the skew axis — hot hosts land
     in single groups, which is fine for counts: combiner pre-aggregation)."""
-    counts = partitioned_key_counts(
-        ledger.select_columns(["host"]).filter(expr="host != ''"), "host"
+    counts = combiner_agg(
+        ledger.select_columns(["host"]).filter(expr="host != ''"),
+        ["host"],
+        [("n", None, "count")],
+        parts=64,
     )
     top_hosts = counts.sort(["n", "host"], descending=[True, False]).limit(top).to_pandas()
     top_hosts["which"] = "top"

@@ -93,40 +93,10 @@ def _partition_join_ranks(
     return tagged.groupby("jpart").map_groups(contribs, batch_format="pandas")
 
 
-def pagerank(
-    edges_ds: "ray.data.Dataset",
-    iterations: int = 5,
-    damping: float = 0.85,
-    parts: int = 32,
-    round_dp: int = 8,
-) -> "ray.data.Dataset":
-    """PageRank over an (src, dst) int64 edge Dataset; returns (id, rank)
-    after ``iterations`` sweeps from the uniform start, ranks rounded to
-    ``round_dp`` (fixed partitioning -> deterministic sums)."""
-    from ..stages.textstats import round_half_away
-
-    # nodes = distinct ids on either edge end (one exchange of id rows)
-    def both_ends(b: pd.DataFrame) -> pd.DataFrame:
-        ids = np.unique(
-            np.concatenate(
-                [b["src"].to_numpy(np.int64), b["dst"].to_numpy(np.int64)]
-            )
-        )
-        return pd.DataFrame({"id": ids, "part": ids % parts})
-
-    def distinct(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"id": np.unique(g["id"].to_numpy(np.int64))})
-
-    nodes = (
-        edges_ds.map_batches(both_ends, batch_format="pandas")
-        .groupby("part")
-        .map_groups(distinct, batch_format="pandas")
-        .materialize()
-    )
-    n = nodes.count()
-
-    # out-degrees joined onto edges once; weighted edges reused per sweep
-    deg = combiner_agg(edges_ds, ["src"], [("outdeg", None, "count")], parts)
+def _weighted_edges(edges_ds: "ray.data.Dataset", parts: int) -> "ray.data.Dataset":
+    """(src, dst, outdeg) edges, materialized: out-degrees are
+    combiner-counted, then joined onto the edge list by one exchange
+    keyed by src.  Both PageRank plans reread it every sweep."""
 
     def tag_e(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -169,13 +139,49 @@ def pagerank(
             }
         )
 
-    edges_w = (
+    deg = combiner_agg(edges_ds, ["src"], [("outdeg", None, "count")], parts)
+    return (
         edges_ds.map_batches(tag_e, batch_format="pandas")
         .union(deg.map_batches(tag_d, batch_format="pandas"))
         .groupby("jpart")
         .map_groups(attach_deg, batch_format="pandas")
         .materialize()
     )
+
+
+def pagerank(
+    edges_ds: "ray.data.Dataset",
+    iterations: int = 5,
+    damping: float = 0.85,
+    parts: int = 32,
+    round_dp: int = 8,
+) -> "ray.data.Dataset":
+    """PageRank over an (src, dst) int64 edge Dataset; returns (id, rank)
+    after ``iterations`` sweeps from the uniform start, ranks rounded to
+    ``round_dp`` (fixed partitioning -> deterministic sums)."""
+    from ..stages.textstats import round_half_away
+
+    # nodes = distinct ids on either edge end (one exchange of id rows)
+    def both_ends(b: pd.DataFrame) -> pd.DataFrame:
+        ids = np.unique(
+            np.concatenate(
+                [b["src"].to_numpy(np.int64), b["dst"].to_numpy(np.int64)]
+            )
+        )
+        return pd.DataFrame({"id": ids, "part": ids % parts})
+
+    def distinct(g: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"id": np.unique(g["id"].to_numpy(np.int64))})
+
+    nodes = (
+        edges_ds.map_batches(both_ends, batch_format="pandas")
+        .groupby("part")
+        .map_groups(distinct, batch_format="pandas")
+        .materialize()
+    )
+    n = nodes.count()
+
+    edges_w = _weighted_edges(edges_ds, parts)
 
     base = (1.0 - damping) / n
 
@@ -243,55 +249,7 @@ def pagerank_broadcast(
 
     from ..stages.textstats import round_half_away
 
-    def tag_e(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "src": b["src"].to_numpy(np.int64),
-                "dst": b["dst"].to_numpy(np.int64),
-                "outdeg": np.zeros(len(b), dtype=np.int64),
-                "side": np.zeros(len(b), dtype=np.int8),
-                "jpart": (b["src"] % parts).to_numpy(np.int64),
-            }
-        )
-
-    def tag_d(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "src": b["src"].to_numpy(np.int64),
-                "dst": np.zeros(len(b), dtype=np.int64),
-                "outdeg": b["outdeg"].to_numpy(np.int64),
-                "side": np.ones(len(b), dtype=np.int8),
-                "jpart": (b["src"] % parts).to_numpy(np.int64),
-            }
-        )
-
-    def attach_deg(g: pd.DataFrame) -> pd.DataFrame:
-        d = g[g["side"] == 1].set_index("src")["outdeg"]
-        e = g[g["side"] == 0]
-        if not len(e):
-            return pd.DataFrame(
-                {
-                    "src": pd.Series(dtype="int64"),
-                    "dst": pd.Series(dtype="int64"),
-                    "outdeg": pd.Series(dtype="int64"),
-                }
-            )
-        return pd.DataFrame(
-            {
-                "src": e["src"].to_numpy(np.int64),
-                "dst": e["dst"].to_numpy(np.int64),
-                "outdeg": d.reindex(e["src"]).to_numpy(np.int64),
-            }
-        )
-
-    deg = combiner_agg(edges_ds, ["src"], [("outdeg", None, "count")], parts)
-    edges_w = (
-        edges_ds.map_batches(tag_e, batch_format="pandas")
-        .union(deg.map_batches(tag_d, batch_format="pandas"))
-        .groupby("jpart")
-        .map_groups(attach_deg, batch_format="pandas")
-        .materialize()
-    )
+    edges_w = _weighted_edges(edges_ds, parts)
 
     # node vector on the driver (sorted ids -> searchsorted rank lookup)
     ends = edges_w.map_batches(
