@@ -237,6 +237,132 @@ class TestSimHash:
         found = set(zip(pairs["id_a"], pairs["id_b"]))
         assert (0, 1) in found  # identical -> distance 0
 
+    def test_max_hamming_above_three_keeps_recall(self, monkeypatch):
+        """Two hashes at distance 4 with one differing bit in each 16-bit
+        block share no block: a fixed 4-block split misses them, the
+        max_hamming + 1 band split must not."""
+        import ray.data
+
+        from webcrawl_lowres_lang_ray.stages import dedup
+
+        far = np.uint64(1 | 1 << 16 | 1 << 32 | 1 << 48)
+
+        def fake_simhash(ds, text_col="text"):
+            def fn(b: pd.DataFrame) -> pd.DataFrame:
+                ids = b["doc_id"].to_numpy(np.int64)
+                return b.assign(simhash=np.where(ids == 0, np.uint64(0), far))
+
+            return ds.map_batches(fn, batch_format="pandas")
+
+        monkeypatch.setattr(dedup, "add_simhash", fake_simhash)
+        ds = ray.data.from_pandas(pd.DataFrame({"doc_id": [0, 1], "text": ["a", "b"]}))
+        pairs = dedup.simhash_neardup_pairs(ds, max_hamming=4).to_pandas()
+        assert pairs[["id_a", "id_b", "hamming"]].values.tolist() == [[0, 1, 4]]
+        assert len(dedup.simhash_neardup_pairs(ds, max_hamming=3).to_pandas()) == 0
+
+    def test_max_hamming_out_of_range_raises(self):
+        import ray.data
+
+        from webcrawl_lowres_lang_ray.stages.dedup import simhash_neardup_pairs
+
+        ds = ray.data.from_pandas(_docs_with_dups())
+        for bad in (64, -1):
+            with pytest.raises(ValueError, match="max_hamming"):
+                simhash_neardup_pairs(ds, max_hamming=bad)
+
+
+def _star_or_all_pairs(df: pd.DataFrame, key: str, max_bucket) -> pd.DataFrame:
+    """Brute-force shared-key pairs: a pandas self-merge on ``key`` over
+    distinct (key, id) rows, except that a key held by more than
+    ``max_bucket`` ids pairs only its min id with each other id."""
+    d = df[[key, "id"]].drop_duplicates()
+    m = d.merge(d, on=key, suffixes=("_a", "_b"))
+    m = m[m["id_a"] < m["id_b"]]
+    if max_bucket is not None:
+        size = d.groupby(key)["id"].transform("size")
+        big = d.loc[size > max_bucket].groupby(key)["id"].min()
+        hub = m[key].map(big)
+        m = m[hub.isna() | (m["id_a"] == hub)]
+    return m[[key, "id_a", "id_b"]]
+
+
+class TestSharedKeyPairs:
+    """The one pair kernel (_run_pairs) and shared-key exchange
+    (_shared_key_pairs) against a pandas self-merge."""
+
+    @staticmethod
+    def _rows(seed: int) -> pd.DataFrame:
+        rng = np.random.RandomState(seed)
+        n = 400
+        df = pd.DataFrame(
+            {"id": rng.randint(0, 120, n).astype(np.int64),
+             "k": rng.randint(0, 40, n).astype(np.int64)}
+        )
+        # one hot key held by 60 distinct ids, plus repeated (key, id) rows
+        hot = pd.DataFrame({"id": np.arange(200, 260, dtype=np.int64), "k": np.int64(999)})
+        df = pd.concat([df, hot, df.iloc[:50], hot.iloc[:10]], ignore_index=True)
+        df["s"] = ["w%03d" % k for k in df["k"]]  # the same keys as strings
+        return df.sample(frac=1.0, random_state=seed).reset_index(drop=True)
+
+    @pytest.mark.parametrize("key", ["k", "s"])
+    @pytest.mark.parametrize("max_bucket", [None, 16])
+    def test_run_pairs_matches_self_merge(self, key, max_bucket):
+        from webcrawl_lowres_lang_ray.stages.dedup import _run_pairs
+
+        df = self._rows(3)
+        ids = df["id"].to_numpy()
+        i, j = _run_pairs(df[key].to_numpy(), ids, max_bucket)
+        assert (ids[i] < ids[j]).all()
+        assert (df[key].to_numpy()[i] == df[key].to_numpy()[j]).all()
+        got = sorted(zip(df[key].to_numpy()[i].tolist(), ids[i].tolist(), ids[j].tolist()))
+        want = sorted(map(tuple, _star_or_all_pairs(df, key, max_bucket).values.tolist()))
+        assert got == want  # no pair twice, none missing
+        hot = df.loc[df["k"] == 999, key].iloc[0]
+        hot_pairs = [(a, b) for k, a, b in got if k == hot]
+        if max_bucket is None:
+            assert len(hot_pairs) == 60 * 59 // 2
+        else:  # exactly the star pairs to the hot key's min id
+            assert hot_pairs == [(200, b) for b in range(201, 260)]
+
+    def test_run_pairs_on_key_columns(self):
+        from webcrawl_lowres_lang_ray.stages.dedup import _run_pairs
+
+        df = self._rows(4)
+        df["k2"] = df["id"] % 2
+        ids = df["id"].to_numpy()
+        i, j = _run_pairs([df["s"].to_numpy(), df["k2"].to_numpy()], ids)
+        got = sorted(zip(ids[i].tolist(), ids[j].tolist(), df["s"].to_numpy()[i].tolist()))
+        d = df.assign(key=df["s"] + "/" + df["k2"].astype(str))
+        want = sorted(
+            (a, b, key.split("/")[0])
+            for key, a, b in _star_or_all_pairs(d, "key", None).values.tolist()
+        )
+        assert got == want
+
+    @pytest.mark.parametrize("key", ["k", "s"])
+    @pytest.mark.parametrize("max_bucket", [None, 16])
+    def test_shared_key_pairs_matches_self_merge(self, key, max_bucket):
+        import ray.data
+
+        from webcrawl_lowres_lang_ray.stages.dedup import _shared_key_pairs
+
+        df = self._rows(5)
+        ds = ray.data.from_pandas([df.iloc[:300], df.iloc[300:]])
+        got = (
+            _shared_key_pairs(ds, [key], "id", max_bucket)
+            .to_pandas()
+            .sort_values(["id_a", "id_b"])
+            .reset_index(drop=True)
+        )
+        want = (
+            _star_or_all_pairs(df, key, max_bucket)
+            .groupby(["id_a", "id_b"])
+            .size()
+            .reset_index(name="n")
+        )
+        assert len(want) > 1000
+        pd.testing.assert_frame_equal(got, want)
+
 
 class TestRangeJoin:
     def test_overlapping_intervals_multimatch(self):

@@ -13,6 +13,7 @@ import os
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 import ray.data
 
@@ -379,8 +380,6 @@ def q_lexicon_growth(sf_dir: str) -> pd.DataFrame:
 def _corpus_link_edges(corpus: str):
     """Extract the corpus link graph: (src_url, dst_url) edge Dataset from
     <a href> parses of the page HTML, materialized for reuse."""
-    import pyarrow as pa
-
     from ..functions.html_text import extract_links_batch
 
     pages = ray.data.read_parquet(
@@ -505,7 +504,7 @@ def q_crawl_pagerank(sf_dir: str) -> pd.DataFrame:
     )
     top_ref = _ray.put(set(int(i) for i in top["id"]))
 
-    def name_batch(b: pd.DataFrame) -> pd.DataFrame:
+    def name_batch(b: pd.DataFrame) -> pa.Table:
         want = _ray.get(top_ref)
         ids = np.concatenate(
             [url_ids(list(b["src_url"])), url_ids(list(b["dst_url"]))]
@@ -514,7 +513,13 @@ def q_crawl_pagerank(sf_dir: str) -> pd.DataFrame:
             [b["src_url"].to_numpy(object), b["dst_url"].to_numpy(object)]
         )
         keep = np.fromiter((int(i) in want for i in ids), dtype=bool, count=len(ids))
-        return pd.DataFrame({"id": ids[keep], "url": urls[keep]}).drop_duplicates("id")
+        kept = pd.DataFrame({"id": ids[keep], "url": urls[keep]}).drop_duplicates("id")
+        # typed even when empty: an empty object column makes Ray's block
+        # size estimator log an error
+        return pa.table(
+            {"id": pa.array(kept["id"].to_numpy(np.int64)),
+             "url": pa.array(kept["url"].to_numpy(object), type=pa.string())}
+        )
 
     names = (
         edge_urls.map_batches(name_batch, batch_format="pandas")
@@ -551,7 +556,6 @@ def q_crawl_priority_pagerank(sf_dir: str) -> pd.DataFrame:
     invariants pinned in tests/test_graph.py."""
     import shutil
 
-    import pyarrow as pa
     import pyarrow.parquet as pq
 
     from ..stages.graph import url_ids
@@ -850,8 +854,9 @@ def q_crawl_host_hits(sf_dir: str) -> pd.DataFrame:
 def q_multimodal_phash_dedup(sf_dir: str) -> pd.DataFrame:
     """Image near-duplicate detection by 64-bit perceptual dHash
     (stages/multimodal.py: actor-pool PNG decode -> block-mean dHash ->
-    SimHash-style 16-bit band partitioning, hamming <= 3 verified by
-    vectorized popcount — nothing quadratic, nothing broadcast).  The
+    dedup.banded_hamming_pairs: 8 x 8-bit band partitioning, hamming <= 7
+    verified by vectorized popcount — nothing quadratic, nothing
+    broadcast).  The
     synthetic corpus plants 2x-upscaled copies of five PNGs; the
     operator must pair each with its original.  Rows-only gate:
     planted-pair recall + determinism in tests/test_media.py."""
@@ -885,7 +890,7 @@ def q_multimodal_audio_dedup(sf_dir: str) -> pd.DataFrame:
     """Audio near-duplicate detection by 64-bit envelope fingerprint
     (stages/multimodal.py: gain-normalized framewise RMS+ZCR
     adjacent-compare bits -> the same banded hamming join as the image
-    path).  Plants five amplitude-scaled, lightly-noised copies of
+    path, dedup.banded_hamming_pairs).  Plants five amplitude-scaled, lightly-noised copies of
     synthetic clips — re-volume/re-encode duplicates the raw-byte hash
     misses.  Rows-only gate: planted-pair recall + no cross-frequency
     false positives in tests/test_media.py."""

@@ -768,8 +768,9 @@ def q_ngram_jaccard(sf_dir: str):
 def q_ngram_jaccard_inverted(sf_dir: str):
     """EXACT n-gram Jaccard >= 0.5 via the inverted-index set-similarity
     join (stages/dedup.py:ngram_jaccard_inverted): docs sharing a shingle
-    meet in a shingle-partitioned self-merge, per-pair intersection
-    partials sum in a pair-keyed exchange, sizes shuffle-join on — no
+    pair up in a shingle-partitioned exchange (_shared_key_pairs),
+    per-pair intersection partials sum in a pair-keyed exchange, sizes
+    shuffle-join on — no
     all-pairs stage, no broadcast, no per-pair set shipping.  Same SQL
     oracle as the quadratic verification oracle."""
     from ..stages.dedup import ngram_jaccard_inverted

@@ -217,7 +217,13 @@ def srp_neardup_pairs(
     the small-N oracle; recall vs it is pinned in tests.  Returns
     (id_a, id_b, cos_sim), id_a < id_b.
     """
-    from .dedup import _PAIR_PARTITIONS, _attach_sig, _dedup_pairs
+    from .dedup import (
+        _attach_sig,
+        _dedup_pairs,
+        _key_part,
+        _shared_key_pairs,
+        _sorted_runs,
+    )
 
     planes = [_srp_planes(dim, bits, t, seed) for t in range(n_tables)]
     planes_ref = ray.put(planes)
@@ -243,13 +249,6 @@ def srp_neardup_pairs(
     def _probe_stage(with_sig: bool):
         def probe_stage(batch: pd.DataFrame) -> pd.DataFrame:
             n = len(batch)
-            if n == 0:
-                cols = {id_col: pd.Series(dtype="int64"),
-                        "bucket": pd.Series(dtype="int64"),
-                        "part": pd.Series(dtype="int64")}
-                if with_sig:
-                    cols["sig"] = pd.Series(dtype=object)
-                return pd.DataFrame(cols)
             matn = np.frombuffer(b"".join(batch["sig"]), dtype=np.float64).reshape(n, dim)
             ids = batch[id_col].to_numpy(np.int64)
             pls = ray.get(planes_ref)
@@ -263,10 +262,8 @@ def srp_neardup_pairs(
             out = pd.DataFrame(
                 {id_col: np.concatenate(out_id), "bucket": np.concatenate(out_bucket)}
             )
-            out["part"] = (
-                pd.util.hash_array(out["bucket"].to_numpy(np.int64)) % _PAIR_PARTITIONS
-            ).astype(np.int64)
             if with_sig:
+                out["part"] = _key_part(out[["bucket"]])
                 # same (table-major, id, probe) row order as out_id above
                 out["sig"] = np.tile(
                     np.repeat(batch["sig"].to_numpy(object), nprobes), n_tables
@@ -314,27 +311,19 @@ def srp_neardup_pairs(
         )
 
         def bucket_verify(g: pd.DataFrame) -> pd.DataFrame:
-            if len(g) < 2:
-                return _empty_pairs.copy()
-            ids_all = g[id_col].to_numpy(np.int64)
-            buck = g["bucket"].to_numpy(np.int64)
-            sig = g["sig"].to_numpy(object)
-            order = np.lexsort((ids_all, buck))
-            ids_all, buck = ids_all[order], buck[order]
-            mat = np.frombuffer(b"".join(sig[order]), dtype=np.float64).reshape(
-                len(ids_all), dim
+            rows, starts, ends = _sorted_runs(
+                g["bucket"].to_numpy(np.int64), g[id_col].to_numpy(np.int64)
             )
-            newrun = np.empty(len(ids_all), dtype=bool)
-            newrun[0] = True
-            newrun[1:] = buck[1:] != buck[:-1]
-            starts = np.nonzero(newrun)[0]
-            ends = np.append(starts[1:], len(ids_all))
+            ids_all = g[id_col].to_numpy(np.int64)[rows]
+            mat = np.frombuffer(
+                b"".join(g["sig"].to_numpy(object)[rows]), dtype=np.float64
+            ).reshape(len(rows), dim)
             ia_all, ib_all, cs_all = [], [], []
             for s, e in zip(starts, ends):
                 c = e - s
                 if c < 2:
                     continue
-                bi = ids_all[s:e]  # ascending (lexsort minor key), distinct
+                bi = ids_all[s:e]  # ascending, distinct
                 m = mat[s:e]
                 # chunked (rows x bucket) matmul bounds task memory on
                 # degenerate buckets; only threshold survivors materialize
@@ -365,31 +354,7 @@ def srp_neardup_pairs(
         # are identical rows — exactly _dedup_pairs's contract
         return _dedup_pairs(verified, ["id_a", "id_b", "cos_sim"])
 
-    def part_cands(g: pd.DataFrame) -> pd.DataFrame:
-        lo_all, hi_all = [], []
-        for _, sub in g.groupby("bucket", sort=False):
-            c = len(sub)
-            if c < 2:
-                continue
-            ids = sub[id_col].to_numpy(np.int64)
-            iu, ju = np.triu_indices(c, 1)
-            ia, ib = ids[iu], ids[ju]
-            keep = ia != ib
-            lo_all.append(np.minimum(ia[keep], ib[keep]))
-            hi_all.append(np.maximum(ia[keep], ib[keep]))
-        if not lo_all:
-            return pd.DataFrame(
-                {"id_a": pd.Series(dtype="int64"), "id_b": pd.Series(dtype="int64")}
-            )
-        out = pd.DataFrame(
-            {"id_a": np.concatenate(lo_all), "id_b": np.concatenate(hi_all)}
-        )
-        return out.drop_duplicates(["id_a", "id_b"])
-
-    cands = _dedup_pairs(
-        probes.groupby("part").map_groups(part_cands, batch_format="pandas"),
-        ["id_a", "id_b"],
-    )
+    cands = _shared_key_pairs(probes, ["bucket"], id_col, count_col=None)
     with_a = _attach_sig(cands, vecs_ds, "id_a", ["id_a", "id_b"], "sig_a", id_col)
     with_ab = _attach_sig(
         with_a, vecs_ds, "id_b", ["id_a", "id_b", "sig_a"], "sig_b", id_col

@@ -11,20 +11,23 @@ provides the training-data-pipeline generalizations as Ray Data pipelines:
                         (emit (band, band_hash, doc) rows, groupby bucket,
                         intra-bucket candidate pairs, similarity estimate);
 * ``simhash``         — 64-bit SimHash fingerprints + near-dup pairs by
-                        Hamming distance (bucketed by 4 x 16-bit blocks:
-                        two docs within distance d<=3 share >=1 block);
-* ``ngram_jaccard_pairs`` — exact n-gram Jaccard verification for candidate
-                        pairs (the verify step after LSH).
+                        Hamming distance (banded_hamming_pairs: d + 1
+                        bands, two docs within distance d share >= 1);
+* ``ngram_jaccard_*`` — exact n-gram Jaccard pairs (LSH candidates + verify,
+                        or the inverted-index join).
 
 All hashing is content-derived (pandas SipHash with its fixed default key,
 plus a polynomial combine for shingles) — deterministic across processes
 and runs, no Python ``hash()``.
 
-Scale notes: candidate buckets are processed through a *partition-key*
-groupby (``_PAIR_PARTITIONS`` groups, vectorized pandas groupby inside each)
-rather than one map_groups call per bucket — per-group Python dispatch at
-10^5+ buckets otherwise dominates the wall clock.  Pair emission inside a
-bucket is vectorized (triu indices + matrix compare / XOR popcount).
+Scale notes: every "pairs that share a key" operator (substring, winnow,
+inverted n-gram Jaccard, LSH candidates, SRP buckets, banded Hamming) runs
+one kernel, ``_run_pairs``: per *partition-key* group (``_PAIR_PARTITIONS``
+groups, not one map_groups call per bucket — per-group Python dispatch at
+10^5+ buckets otherwise dominates the wall clock) it sorts rows by (key,
+id) and emits the pairs of every key run at once, vectorized.
+``_shared_key_pairs`` wraps it in the key exchange and the pair-keyed
+count exchange.
 """
 
 from __future__ import annotations
@@ -102,6 +105,18 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _pair_part(id_a, id_b) -> np.ndarray:
+    """Pair-keyed exchange partition of (id_a, id_b) rows."""
+    key = np.asarray(id_a, np.int64) * np.int64(2654435761) + np.asarray(id_b, np.int64)
+    return (pd.util.hash_array(key) % np.uint64(_PAIR_PARTITIONS)).astype(np.int64)
+
+
+def _key_part(keys: pd.DataFrame) -> np.ndarray:
+    """Key-keyed exchange partition: rows with equal key columns meet."""
+    h = pd.util.hash_pandas_object(keys, index=False).to_numpy(np.uint64)
+    return (h % np.uint64(_PAIR_PARTITIONS)).astype(np.int64)
+
+
 def _dedup_pairs(pairs: "ray.data.Dataset", cols: list[str]) -> "ray.data.Dataset":
     """Distinct (id_a, id_b) rows: hash-partition by pair key, then a
     vectorized pandas drop_duplicates per partition (valid because every
@@ -109,12 +124,7 @@ def _dedup_pairs(pairs: "ray.data.Dataset", cols: list[str]) -> "ray.data.Datase
     identical rows).  O(#partitions) group dispatches, not O(#pairs)."""
 
     def keyed(b: pd.DataFrame) -> pd.DataFrame:
-        if len(b) == 0:
-            return b.assign(pair_part=pd.Series(dtype="int64"))
-        key = b["id_a"].to_numpy(np.int64) * np.int64(2654435761) + b["id_b"].to_numpy(np.int64)
-        b = b.copy()
-        b["pair_part"] = pd.util.hash_array(key).astype(np.int64) % _PAIR_PARTITIONS
-        return b
+        return b.assign(pair_part=_pair_part(b["id_a"], b["id_b"]))
 
     def drop_dups(g: pd.DataFrame) -> pd.DataFrame:
         return g.sort_values(["id_a", "id_b"], kind="mergesort").drop_duplicates(
@@ -125,6 +135,100 @@ def _dedup_pairs(pairs: "ray.data.Dataset", cols: list[str]) -> "ray.data.Datase
         pairs.map_batches(keyed, batch_format="pandas")
         .groupby("pair_part")
         .map_groups(drop_dups, batch_format="pandas")
+    )
+
+
+def _sorted_runs(keys, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort one partition's rows by (key, id), drop repeated (key, id) rows
+    and find the runs of equal keys.  ``keys`` is one key array or a list
+    of them (int64 or string); each is factorized first, so the sort is an
+    int64 lexsort, never an object-array one.  Returns (rows, starts,
+    ends): the kept row indices in sorted order and each run's
+    [start, end) bounds into ``rows``."""
+    code = None
+    for k in keys if isinstance(keys, (list, tuple)) else [keys]:
+        c, uniq = pd.factorize(k)
+        code = c if code is None else pd.factorize(code * len(uniq) + c)[0]
+    ids = np.asarray(ids, np.int64)
+    rows = np.lexsort((ids, code))
+    c, d = code[rows], ids[rows]
+    new_key = np.ones(len(rows), dtype=bool)
+    new_key[1:] = c[1:] != c[:-1]
+    keep = new_key.copy()
+    keep[1:] |= d[1:] != d[:-1]
+    rows, new_key = rows[keep], new_key[keep]
+    starts = np.flatnonzero(new_key)
+    return rows, starts, np.append(starts[1:], len(rows))
+
+
+def _run_pairs(keys, ids: np.ndarray, max_bucket: int | None = None):
+    """Row-index pairs (i, j), ids[i] < ids[j], of every two rows that
+    share a key (see _sorted_runs), emitted vectorized over all runs at
+    once.  A run larger than ``max_bucket`` emits star pairs to its min id
+    instead of all C(c, 2) pairs (see MINHASH_MAX_BUCKET)."""
+    rows, starts, ends = _sorted_runs(keys, ids)
+    size = ends - starts
+    run_size = np.repeat(size, size)
+    offset = np.arange(len(rows)) - np.repeat(starts, size)
+    later = run_size - 1 - offset  # rows after this one in its run
+    if max_bucket is not None:
+        later = np.where(
+            run_size > max_bucket, np.where(offset == 0, run_size - 1, 0), later
+        )
+    left = np.repeat(np.arange(len(rows)), later)
+    first = np.cumsum(later) - later
+    right = left + 1 + np.arange(len(left)) - np.repeat(first, later)
+    return rows[left], rows[right]
+
+
+def _pair_counts(id_a, id_b, n) -> pd.DataFrame:
+    """Sum ``n`` per (id_a, id_b)."""
+    df = pd.DataFrame(
+        {"id_a": np.asarray(id_a, np.int64), "id_b": np.asarray(id_b, np.int64), "n": n}
+    )
+    return df.groupby(["id_a", "id_b"], sort=False, as_index=False)["n"].sum()
+
+
+def _shared_key_pairs(
+    rows: "ray.data.Dataset",
+    key_cols: list[str],
+    id_col: str,
+    max_bucket: int | None = None,
+    count_col: str | None = "n",
+) -> "ray.data.Dataset":
+    """The set-intersection join: every (id_a, id_b), id_a < id_b, that
+    shares a key, with ``count_col`` = the number of distinct keys they
+    share (no count column when ``count_col`` is None).
+
+    Two bounded exchanges, nothing broadcast: (id, key...) rows
+    hash-partition by key; each partition pairs the rows of every key run
+    (_run_pairs) and counts per pair; a pair-keyed exchange sums the
+    partition counts (a key lives in one partition, so the sum is exact).
+    A key shared by c ids emits C(c, 2) pairs, or c - 1 star pairs above
+    ``max_bucket``."""
+
+    def keyed(b: pd.DataFrame) -> pd.DataFrame:
+        b = b[[id_col, *key_cols]]
+        return b.assign(key_part=_key_part(b[key_cols]))
+
+    def part_counts(g: pd.DataFrame) -> pd.DataFrame:
+        ids = g[id_col].to_numpy(np.int64)
+        i, j = _run_pairs([g[c].to_numpy() for c in key_cols], ids, max_bucket)
+        out = _pair_counts(ids[i], ids[j], 1)
+        return out.assign(pair_part=_pair_part(out["id_a"], out["id_b"]))
+
+    def sum_counts(g: pd.DataFrame) -> pd.DataFrame:
+        out = _pair_counts(g["id_a"], g["id_b"], g["n"].to_numpy(np.int64))
+        if count_col is None:
+            return out[["id_a", "id_b"]]
+        return out.rename(columns={"n": count_col})
+
+    return (
+        rows.map_batches(keyed, batch_format="pandas")
+        .groupby("key_part")
+        .map_groups(part_counts, batch_format="pandas")
+        .groupby("pair_part")
+        .map_groups(sum_counts, batch_format="pandas")
     )
 
 
@@ -195,6 +299,27 @@ def _minhash_sigs(
 MINHASH_MAX_BUCKET = 256
 
 
+def _band_rows(batch: pd.DataFrame, id_col: str, bands: int, rows_per_band: int) -> pd.DataFrame:
+    """(id, band, band_hash) rows, one per doc per LSH band.  Band hashing is
+    fully vectorized: polynomial combine down the band's rows + a
+    splitmix64 finalizer keyed by band index (one matrix pass per batch, no
+    per-row Python)."""
+    n = len(batch)
+    mat = np.frombuffer(b"".join(batch["sig"]), dtype=np.uint64).reshape(
+        n, bands, rows_per_band
+    )
+    acc = np.zeros((n, bands), dtype=np.uint64)
+    for j in range(rows_per_band):
+        acc = acc * _POLY + mat[:, :, j]
+    band_key = _mix64(np.arange(bands, dtype=np.uint64))
+    bh = (_mix64(acc ^ band_key[None, :]) >> np.uint64(1)).astype(np.int64)
+    return pd.DataFrame(
+        {id_col: np.repeat(batch[id_col].to_numpy(np.int64), bands),
+         "band": np.tile(np.arange(bands, dtype=np.int64), n),
+         "band_hash": bh.ravel()}
+    )
+
+
 def _lsh_candidates(
     sigs_ds: "ray.data.Dataset",
     id_col: str,
@@ -202,69 +327,17 @@ def _lsh_candidates(
     rows_per_band: int,
     max_bucket: int = MINHASH_MAX_BUCKET,
 ) -> "ray.data.Dataset":
-    """Distinct candidate pairs from banded LSH.  Only (band, band_hash:int64)
-    rows ride the shuffle — no signature payload (512 B x bands per doc would
-    dominate the exchange).  Band hashing is fully vectorized: polynomial
-    combine down the band's rows + a splitmix64 finalizer keyed by band index
-    (one matrix pass per batch, no per-row Python).  Buckets above
-    ``max_bucket`` fall back to star edges (see MINHASH_MAX_BUCKET)."""
-
-    def band_stage(batch: pd.DataFrame) -> pd.DataFrame:
-        n = len(batch)
-        if n == 0:
-            return pd.DataFrame(
-                {id_col: pd.Series(dtype="int64"), "band": pd.Series(dtype="int64"),
-                 "band_hash": pd.Series(dtype="int64"), "part": pd.Series(dtype="int64")}
-            )
-        mat = np.frombuffer(b"".join(batch["sig"]), dtype=np.uint64).reshape(
-            n, bands, rows_per_band
-        )
-        acc = np.zeros((n, bands), dtype=np.uint64)
-        for j in range(rows_per_band):
-            acc = acc * _POLY + mat[:, :, j]
-        band_key = _mix64(np.arange(bands, dtype=np.uint64))
-        bh = (_mix64(acc ^ band_key[None, :]) >> np.uint64(1)).astype(np.int64)
-        ids = np.repeat(batch[id_col].to_numpy(np.int64), bands)
-        band = np.tile(np.arange(bands, dtype=np.int64), n)
-        bh = bh.ravel()
-        out = pd.DataFrame({id_col: ids, "band": band, "band_hash": bh})
-        out["part"] = (
-            pd.util.hash_array((band << 56) ^ bh) % _PAIR_PARTITIONS
-        ).astype(np.int64)
-        return out
-
-    banded = sigs_ds.map_batches(band_stage, batch_format="pandas")
-
-    def part_cands(g: pd.DataFrame) -> pd.DataFrame:
-        lo_all, hi_all = [], []
-        for _, sub in g.groupby(["band", "band_hash"], sort=False):
-            c = len(sub)
-            if c < 2:
-                continue
-            ids = sub[id_col].to_numpy(np.int64)
-            if c > max_bucket:
-                # dense cluster: star edges to the bucket min, O(c) not O(c^2)
-                mn = ids.min()
-                others = ids[ids != mn]
-                ia, ib = np.full(len(others), mn, dtype=np.int64), others
-            else:
-                iu, ju = np.triu_indices(c, 1)
-                ia, ib = ids[iu], ids[ju]
-            lo_all.append(np.minimum(ia, ib))
-            hi_all.append(np.maximum(ia, ib))
-        if not lo_all:
-            return pd.DataFrame(
-                {"id_a": pd.Series(dtype="int64"), "id_b": pd.Series(dtype="int64")}
-            )
-        out = pd.DataFrame(
-            {"id_a": np.concatenate(lo_all), "id_b": np.concatenate(hi_all)}
-        )
-        # within-partition distinct (a pair recurs across this partition's
-        # bands); cross-partition dups fall to _dedup_pairs below
-        return out.drop_duplicates(["id_a", "id_b"])
-
-    cands = banded.groupby("part").map_groups(part_cands, batch_format="pandas")
-    return _dedup_pairs(cands, ["id_a", "id_b"])
+    """Distinct candidate pairs from banded LSH: the shared-key join over
+    (band, band_hash) keys.  Only (id, band, band_hash:int64) rows ride the
+    shuffle — no signature payload (512 B x bands per doc would dominate
+    the exchange).  Buckets above ``max_bucket`` fall back to star edges
+    (see MINHASH_MAX_BUCKET)."""
+    banded = sigs_ds.map_batches(
+        lambda b: _band_rows(b, id_col, bands, rows_per_band), batch_format="pandas"
+    )
+    return _shared_key_pairs(
+        banded, ["band", "band_hash"], id_col, max_bucket, count_col=None
+    )
 
 
 # Salt fan-out for the pair side of _attach_sig.  Star-edge hubs (a bucket-min
@@ -371,93 +444,41 @@ def _bucket_verified_pairs(
     (id_a, id_b, est_jaccard), id_a < id_b, est rounded to 4 dp."""
     import pyarrow as pa
 
-    _EMPTY_PAIRS = pa.schema(
+    pairs_schema = pa.schema(
         [("id_a", pa.int64()), ("id_b", pa.int64()), ("est_jaccard", pa.float64())]
     )
 
     def band_stage_sig(batch: pd.DataFrame):
-        n = len(batch)
-        if n == 0:
-            return pa.Table.from_arrays(
-                [pa.array([], type=pa.int64())] * 4 + [pa.array([], type=pa.binary())],
-                names=[id_col, "band", "band_hash", "part", "sig"],
-            )
-        mat = np.frombuffer(b"".join(batch["sig"]), dtype=np.uint64).reshape(
-            n, bands, rows_per_band
-        )
-        acc = np.zeros((n, bands), dtype=np.uint64)
-        for j in range(rows_per_band):
-            acc = acc * _POLY + mat[:, :, j]
-        band_key = _mix64(np.arange(bands, dtype=np.uint64))
-        bh = (_mix64(acc ^ band_key[None, :]) >> np.uint64(1)).astype(np.int64)
-        ids = np.repeat(batch[id_col].to_numpy(np.int64), bands)
-        band = np.tile(np.arange(bands, dtype=np.int64), n)
-        bh = bh.ravel()
-        part = (
-            pd.util.hash_array((band << 56) ^ bh) % _PAIR_PARTITIONS
-        ).astype(np.int64)
-        sig_rep = np.repeat(batch["sig"].to_numpy(object), bands)
+        out = _band_rows(batch, id_col, bands, rows_per_band)
         return pa.table(
-            {id_col: ids, "band": band, "band_hash": bh, "part": part,
-             "sig": pa.array(sig_rep, type=pa.binary())}
+            {**{c: out[c].to_numpy() for c in out},
+             "part": _key_part(out[["band", "band_hash"]]),
+             "sig": pa.array(np.repeat(batch["sig"].to_numpy(object), bands),
+                             type=pa.binary())}
         )
 
     banded = sigs_ds.map_batches(band_stage_sig, batch_format="pandas")
 
     def part_verify(g: "pa.Table") -> "pa.Table":
         ids = g[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        band = g["band"].to_numpy(zero_copy_only=False)
-        bh = g["band_hash"].to_numpy(zero_copy_only=False)
-        sig = g["sig"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, bh, band))
-        ids, band, bh = ids[order], band[order], bh[order]
-        mat = np.frombuffer(b"".join(sig[order]), dtype=np.uint64).reshape(
-            len(ids), -1
-        )
-        newrun = np.empty(len(ids), dtype=bool)
-        newrun[0] = True
-        newrun[1:] = (band[1:] != band[:-1]) | (bh[1:] != bh[:-1])
-        starts = np.nonzero(newrun)[0]
-        ends = np.append(starts[1:], len(ids))
-        ia_all, ib_all, es_all = [], [], []
-        for s, e in zip(starts, ends):
-            c = e - s
-            if c < 2:
-                continue
-            bi = ids[s:e]  # ascending (lexsort minor key)
-            m = mat[s:e]
-            if c > max_bucket:
-                # dense cluster: star edges to the bucket min, O(c) not O(c^2)
-                est = np.round((m[1:] == m[0]).mean(axis=1), 4)
-                ia, ib = np.full(c - 1, bi[0], dtype=np.int64), bi[1:]
-            else:
-                iu, ju = np.triu_indices(c, 1)
-                est = np.round((m[iu] == m[ju]).mean(axis=1), 4)
-                ia, ib = bi[iu], bi[ju]
-            keep = est >= threshold
-            if keep.any():
-                ia_all.append(ia[keep])
-                ib_all.append(ib[keep])
-                es_all.append(est[keep])
-        if not ia_all:
-            return pa.Table.from_arrays(
-                [pa.array([], type=pa.int64()), pa.array([], type=pa.int64()),
-                 pa.array([], type=pa.float64())],
-                schema=_EMPTY_PAIRS,
-            )
-        ia = np.concatenate(ia_all)
-        ib = np.concatenate(ib_all)
-        es = np.concatenate(es_all)
+        keys = [g[c].to_numpy(zero_copy_only=False) for c in ("band", "band_hash")]
+        mat = np.frombuffer(
+            b"".join(g["sig"].to_numpy(zero_copy_only=False)), dtype=np.uint64
+        ).reshape(len(ids), -1)
+        i, j = _run_pairs(keys, ids, max_bucket)
+        est = np.empty(len(i))
+        for s in range(0, len(i), 1 << 16):  # bounds the (pairs x sig) compare
+            e = s + (1 << 16)
+            est[s:e] = (mat[i[s:e]] == mat[j[s:e]]).mean(axis=1)
+        est = np.round(est, 4)
+        keep = est >= threshold
         # within-partition distinct (a pair recurs across this partition's
         # bands); cross-partition dups fall to _dedup_pairs below
-        o = np.lexsort((ib, ia))
-        ia, ib, es = ia[o], ib[o], es[o]
-        u = np.empty(len(ia), dtype=bool)
-        u[0] = True
-        u[1:] = (ia[1:] != ia[:-1]) | (ib[1:] != ib[:-1])
+        out = pd.DataFrame(
+            {"id_a": ids[i[keep]], "id_b": ids[j[keep]], "est_jaccard": est[keep]}
+        ).drop_duplicates(["id_a", "id_b"])
         return pa.Table.from_arrays(
-            [pa.array(ia[u]), pa.array(ib[u]), pa.array(es[u])],
-            schema=_EMPTY_PAIRS,
+            [out[c].to_numpy() for c in pairs_schema.names], schema=pairs_schema
         )
 
     survivors = banded.groupby("part").map_groups(
@@ -602,69 +623,68 @@ def add_simhash(ds: "ray.data.Dataset", text_col: str = "text") -> "ray.data.Dat
     return ds.map_batches(fn, batch_format="pandas")
 
 
+_POPCOUNT8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
+
+
+def banded_hamming_pairs(
+    rows: "ray.data.Dataset", id_col: str, hash_col: str, max_hamming: int
+) -> "ray.data.Dataset":
+    """Pairs of 64-bit hashes within Hamming distance ``max_hamming`` — the
+    banded (pigeonhole) join shared by SimHash text near-dup and the image
+    (dHash) / audio (envelope fingerprint) near-dup operators.  The 64 bits
+    split into ``max_hamming + 1`` bands, so two hashes within that distance
+    agree on at least one whole band: candidates are the shared-band pairs
+    of each band partition (_run_pairs), verified by one vectorized
+    popcount; a pair sharing several bands is deduplicated by
+    _dedup_pairs.  Returns (id_a, id_b, hamming), id_a < id_b."""
+    if not 0 <= max_hamming <= 63:
+        raise ValueError(f"max_hamming must be in [0, 63], got {max_hamming}")
+    n_bands = max_hamming + 1
+    edges = [64 * i // n_bands for i in range(n_bands + 1)]
+
+    def explode_bands(b: pd.DataFrame) -> pd.DataFrame:
+        h = b[hash_col].to_numpy().view(np.uint64)
+        ids = b[id_col].to_numpy(np.int64)
+        out = pd.DataFrame(
+            {id_col: np.tile(ids, n_bands),
+             "hash": np.tile(h.view(np.int64), n_bands),
+             "band": np.repeat(np.arange(n_bands, dtype=np.int64), len(b)),
+             "band_val": np.concatenate(
+                 [((h >> np.uint64(lo)) & np.uint64((1 << (hi - lo)) - 1)).view(np.int64)
+                  for lo, hi in zip(edges[:-1], edges[1:])]
+             )}
+        )
+        return out.assign(part=_key_part(out[["band", "band_val"]]))
+
+    def part_pairs(g: pd.DataFrame) -> pd.DataFrame:
+        ids = g[id_col].to_numpy(np.int64)
+        h = g["hash"].to_numpy(np.int64).view(np.uint64)
+        i, j = _run_pairs([g["band"].to_numpy(), g["band_val"].to_numpy()], ids)
+        x = (h[i] ^ h[j]).view(np.uint8).reshape(-1, 8)
+        d = _POPCOUNT8[x].sum(axis=1, dtype=np.int64)
+        keep = d <= max_hamming
+        return pd.DataFrame(
+            {"id_a": ids[i[keep]], "id_b": ids[j[keep]], "hamming": d[keep]}
+        )
+
+    pairs = (
+        rows.map_batches(explode_bands, batch_format="pandas")
+        .groupby("part")
+        .map_groups(part_pairs, batch_format="pandas")
+    )
+    return _dedup_pairs(pairs, ["id_a", "id_b", "hamming"])
+
+
 def simhash_neardup_pairs(
     ds: "ray.data.Dataset",
     text_col: str = "text",
     id_col: str = "doc_id",
     max_hamming: int = 3,
 ) -> "ray.data.Dataset":
-    """Near-dup pairs by SimHash Hamming distance <= max_hamming.
-
-    Pigeonhole bucketing: split the 64-bit hash into 4 x 16-bit blocks; any
-    pair within distance 3 agrees on at least one block, so candidate
-    generation is 4 groupbys (emitted as exploded block rows), verification
-    is an exact popcount inside each bucket.
-    """
+    """Near-dup pairs by SimHash Hamming distance <= max_hamming, through
+    the banded Hamming join (banded_hamming_pairs)."""
     withhash = add_simhash(ds.select_columns([id_col, text_col]), text_col)
-
-    def explode_blocks(batch: pd.DataFrame) -> pd.DataFrame:
-        n = len(batch)
-        ids = np.repeat(batch[id_col].to_numpy(dtype=np.int64), 4)
-        sh = np.repeat(batch["simhash"].to_numpy(dtype=np.uint64), 4)
-        blk = np.tile(np.arange(4, dtype=np.int64), n)
-        block_val = (sh >> (np.uint64(16) * blk.astype(np.uint64))) & np.uint64(0xFFFF)
-        out = pd.DataFrame(
-            {id_col: ids, "block": blk, "block_val": block_val.astype(np.int64),
-             "simhash": sh}
-        )
-        out["part"] = (
-            pd.util.hash_array((out["block"] * 65536 + out["block_val"]).to_numpy())
-            % _PAIR_PARTITIONS
-        )
-        return out
-
-    blocks = withhash.map_batches(explode_blocks, batch_format="pandas")
-
-    def part_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        lo_all, hi_all, d_all = [], [], []
-        for _, sub in g.groupby(["block", "block_val"], sort=False):
-            c = len(sub)
-            if c < 2:
-                continue
-            ids = sub[id_col].to_numpy(dtype=np.int64)
-            h = sub["simhash"].to_numpy(dtype=np.uint64)
-            iu, ju = np.triu_indices(c, 1)
-            x = h[iu] ^ h[ju]
-            d = np.unpackbits(x.view(np.uint8).reshape(len(x), 8), axis=1).sum(axis=1)
-            keep = d <= max_hamming
-            if not keep.any():
-                continue
-            ida, idb = ids[iu[keep]], ids[ju[keep]]
-            lo_all.append(np.minimum(ida, idb))
-            hi_all.append(np.maximum(ida, idb))
-            d_all.append(d[keep].astype(np.int64))
-        if not lo_all:
-            return pd.DataFrame(
-                {"id_a": pd.Series(dtype="int64"), "id_b": pd.Series(dtype="int64"),
-                 "hamming": pd.Series(dtype="int64")}
-            )
-        return pd.DataFrame(
-            {"id_a": np.concatenate(lo_all), "id_b": np.concatenate(hi_all),
-             "hamming": np.concatenate(d_all)}
-        )
-
-    pairs = blocks.groupby("part").map_groups(part_pairs, batch_format="pandas")
-    return _dedup_pairs(pairs, ["id_a", "id_b", "hamming"])
+    return banded_hamming_pairs(withhash, id_col, "simhash", max_hamming)
 
 
 # ---------------------------------------------------------------------------
@@ -838,16 +858,12 @@ def ngram_jaccard_allpairs(
     )
 
 
-_EMPTY_SHINGLE = "\x00EMPTY\x00"  # pseudo-shingle routing empty docs together
-
-
 def ngram_jaccard_inverted(
     ds: "ray.data.Dataset",
     threshold: float = 0.5,
     k: int = 3,
     id_col: str = "doc_id",
     text_col: str = "text",
-    parts: int = _PAIR_PARTITIONS,
     round_dp: int = 4,
     score: str = "jaccard",
 ) -> "ray.data.Dataset":
@@ -857,20 +873,17 @@ def ngram_jaccard_inverted(
     §2, minus the prefix filter so the result stays exactly the SQL
     oracle's).
 
-    Plan (two bounded exchanges, the dup_ngram_fraction shape):
+    Plan:
     1. one pass emits (doc, g1, g2) per DISTINCT shingle per doc — the
        shingle key is a 128-bit pair of rolling polynomial hashes over
        two independent SipHash word hashes (equal word sequences always
-       collide; unequal ones collide with ~2^-128 odds), hash-partitioned
-       by g1; per-doc set sizes ride along as one extra row per doc
-       (partition by doc hash);
-    2. within each shingle partition: docs sharing a gram meet in a
-       vectorized self-merge -> per-pair PARTIAL intersection counts,
-       pre-aggregated per partition before the second exchange;
-    3. pair-keyed exchange sums partials to |A ∩ B|; per-doc sizes are
-       shuffle-joined on (the same _attach_sig tagged-union partition
-       join as the LSH verifies, payload one int64); jaccard =
-       inter / (|A| + |B| - inter).
+       collide; unequal ones collide with ~2^-128 odds); per-doc set
+       sizes ride along as one extra row per doc;
+    2. the shared-key join (_shared_key_pairs) over (g1, g2) gives
+       |A ∩ B| for every pair sharing a shingle;
+    3. per-doc sizes are shuffle-joined on (the same _attach_sig
+       tagged-union partition join as the LSH verifies, payload one
+       int64); jaccard = inter / (|A| + |B| - inter).
     Pairs sharing no shingle never materialize (their jaccard is 0 except
     the empty-empty case, which a pseudo-shingle routes together: two
     empty shingle sets are jaccard 1.0, matching the SQL oracle).
@@ -932,13 +945,6 @@ def ngram_jaccard_inverted(
         is_empty = (df["g1"].to_numpy() == _EMPTY_G1) & (
             df["g2"].to_numpy() == _EMPTY_G2
         )
-        df["part"] = np.where(
-            is_empty,
-            np.int64(0),
-            (df["g1"].to_numpy(np.int64).view(np.uint64) % np.uint64(parts)).astype(
-                np.int64
-            ),
-        )
         df["size"] = np.int64(-1)
         # per-doc distinct set size (empty docs: 0 — the pseudo row doesn't count)
         counts = (
@@ -952,7 +958,6 @@ def ngram_jaccard_inverted(
                 id_col: id_arr,
                 "g1": np.int64(0),
                 "g2": np.int64(0),
-                "part": np.int64(-1),
                 "size": counts.to_numpy(np.int64),
             }
         )
@@ -963,7 +968,7 @@ def ngram_jaccard_inverted(
     ).materialize()
 
     def to_sizes(b: pd.DataFrame) -> pd.DataFrame:
-        s = b[b["part"] == -1]
+        s = b[b["size"] >= 0]
         return pd.DataFrame(
             {id_col: s[id_col].to_numpy(np.int64),
              "sig": [int(v).to_bytes(8, "big") for v in s["size"]]}
@@ -971,63 +976,9 @@ def ngram_jaccard_inverted(
 
     sizes_ds = emitted.map_batches(to_sizes, batch_format="pandas")
     grams = emitted.map_batches(
-        lambda b: b[b["part"] != -1][[id_col, "g1", "g2", "part"]],
-        batch_format="pandas",
+        lambda b: b[b["size"] < 0][[id_col, "g1", "g2"]], batch_format="pandas"
     )
-
-    def part_partials(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {"id_a": pd.Series(dtype="int64"), "id_b": pd.Series(dtype="int64"),
-             "inter": pd.Series(dtype="int64"), "pair_part": pd.Series(dtype="int64")}
-        )
-        if len(g) == 0:
-            return empty
-        # run-length grouping: sort once by the (g1, g2) key pair, then loop
-        # ONLY the runs shared by >= 2 docs (the overwhelming majority of
-        # shingles are singletons — a pandas groupby would dispatch per
-        # distinct gram); int64 lexsort beats the old object-string sort
-        a1 = g["g1"].to_numpy(np.int64)
-        a2 = g["g2"].to_numpy(np.int64)
-        order = np.lexsort((a2, a1))
-        s1, s2 = a1[order], a2[order]
-        idarr = g[id_col].to_numpy(np.int64)[order]
-        change = np.r_[True, (s1[1:] != s1[:-1]) | (s2[1:] != s2[:-1])]
-        starts = np.flatnonzero(change)
-        ends = np.r_[starts[1:], len(s1)]
-        lo_all, hi_all = [], []
-        for s, e in zip(starts[(ends - starts) >= 2], ends[(ends - starts) >= 2]):
-            ids = idarr[s:e]
-            iu, ju = np.triu_indices(e - s, 1)
-            ia, ib = ids[iu], ids[ju]
-            keep = ia != ib
-            lo_all.append(np.minimum(ia[keep], ib[keep]))
-            hi_all.append(np.maximum(ia[keep], ib[keep]))
-        if not lo_all:
-            return empty
-        pp = pd.DataFrame(
-            {"id_a": np.concatenate(lo_all), "id_b": np.concatenate(hi_all)}
-        )
-        agg = pp.groupby(["id_a", "id_b"], sort=False).size().reset_index(name="inter")
-        key = agg["id_a"].to_numpy(np.int64) * np.int64(2654435761) + agg[
-            "id_b"
-        ].to_numpy(np.int64)
-        agg["inter"] = agg["inter"].astype(np.int64)
-        agg["pair_part"] = pd.util.hash_array(key).astype(np.int64) % parts
-        return agg
-
-    def sum_partials(g: pd.DataFrame) -> pd.DataFrame:
-        out = (
-            g.groupby(["id_a", "id_b"], sort=False)["inter"].sum().reset_index()
-        )
-        out["inter"] = out["inter"].astype(np.int64)
-        return out
-
-    pairs = (
-        grams.groupby("part")
-        .map_groups(part_partials, batch_format="pandas")
-        .groupby("pair_part")
-        .map_groups(sum_partials, batch_format="pandas")
-    )
+    pairs = _shared_key_pairs(grams, ["g1", "g2"], id_col, count_col="inter")
     with_a = _attach_sig(
         pairs, sizes_ds, "id_a", ["id_a", "id_b", "inter"], "sig_a", id_col
     )
@@ -1235,7 +1186,6 @@ def substring_dedup_pairs(
     stride: int = 10,
     id_col: str = "doc_id",
     text_col: str = "text",
-    nparts: int = 64,
 ) -> "ray.data.Dataset":
     """Exact substring-sharing dedup (Lee et al. 2021, "Deduplicating
     Training Data Makes Language Models Better", arXiv:2107.06499, the
@@ -1243,15 +1193,12 @@ def substring_dedup_pairs(
     one length-``window`` character substring sampled every ``stride``
     chars, with the count of distinct shared windows.
 
-    Scale shape: windows are EXACT strings (no hash-collision false pairs)
-    hash-partitioned by window content; pair generation is a per-partition
-    self-merge (only same-window rows ever meet), and the per-pair distinct-
-    window count is a second partition-key groupby over (id_a, id_b) rows —
-    nothing is broadcast and no all-pairs stage exists.  A window shared by
-    k docs emits k(k-1)/2 pairs: near-dup cluster size bounds the fan-out
-    (cap hot windows with a HAVING-style frequency filter if a corpus has
-    boilerplate shared by thousands of docs — not applied here so the SQL
-    oracle stays exact)."""
+    Scale shape: the shared-key join (_shared_key_pairs) over EXACT window
+    strings (no hash-collision false pairs) — nothing is broadcast and no
+    all-pairs stage exists.  A window shared by k docs emits k(k-1)/2
+    pairs: near-dup cluster size bounds the fan-out (cap hot windows with
+    a HAVING-style frequency filter if a corpus has boilerplate shared by
+    thousands of docs — not applied here so the SQL oracle stays exact)."""
 
     def windows_stage(b: pd.DataFrame) -> pd.DataFrame:
         ids_out: list[int] = []
@@ -1266,58 +1213,15 @@ def substring_dedup_pairs(
                     seen.add(w)
                     ids_out.append(int(i))
                     wins_out.append(w)
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {id_col: pd.Series(ids_out, dtype="int64"),
              "win": pd.Series(wins_out, dtype="object")}
         )
-        if len(out):
-            out["part"] = (
-                pd.util.hash_array(out["win"].to_numpy(object)) % nparts
-            ).astype(np.int64)
-        else:
-            out["part"] = pd.Series(dtype="int64")
-        return out
 
-    def pairs_in_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g[[id_col, "win"]]
-        m = g.merge(g, on="win", suffixes=("_a", "_b"))
-        m = m.loc[m[f"{id_col}_a"] < m[f"{id_col}_b"]]
-        # distinct windows per pair within this partition (a window lives in
-        # exactly one partition, so cross-partition double counting is
-        # impossible); pre-aggregate before the pair-key exchange
-        c = (
-            m.groupby([f"{id_col}_a", f"{id_col}_b"], sort=False)
-            .size()
-            .reset_index(name="n")
-        )
-        c.columns = ["id_a", "id_b", "n"]
-        c["pair_part"] = (
-            pd.util.hash_array(
-                c["id_a"].to_numpy(np.int64) * np.int64(1_000_003)
-                + c["id_b"].to_numpy(np.int64)
-            )
-            % nparts
-        ).astype(np.int64)
-        return c
-
-    def sum_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        out = (
-            g.groupby(["id_a", "id_b"], sort=False)["n"]
-            .sum()
-            .reset_index(name="shared_windows")
-        )
-        return out.astype(
-            {"id_a": "int64", "id_b": "int64", "shared_windows": "int64"}
-        )
-
-    return (
-        ds.select_columns([id_col, text_col])
-        .map_batches(windows_stage, batch_format="pandas")
-        .groupby("part")
-        .map_groups(pairs_in_part, batch_format="pandas")
-        .groupby("pair_part")
-        .map_groups(sum_pairs, batch_format="pandas")
+    windows = ds.select_columns([id_col, text_col]).map_batches(
+        windows_stage, batch_format="pandas"
     )
+    return _shared_key_pairs(windows, ["win"], id_col, count_col="shared_windows")
 
 
 def dup_ngram_fraction(
@@ -1504,7 +1408,6 @@ def winnow_neardup_pairs(
     min_shared: int = 2,
     id_col: str = "doc_id",
     text_col: str = "text",
-    parts: int = 64,
 ) -> "ray.data.Dataset":
     """Winnowing near-dup pairs (Schleimer, Wilkerson & Aiken 2003, "Winnowing:
     Local Algorithms for Document Fingerprinting" — the MOSS algorithm):
@@ -1516,11 +1419,9 @@ def winnow_neardup_pairs(
     the position-robust complement of the fixed-stride exact-substring
     family above.
 
-    Same exchange shape as ``substring_dedup_pairs``: (fingerprint, doc)
-    rows partition by fingerprint hash, each partition emits its pairs
-    vectorized, and a pair-key partition sums shared counts — no
-    broadcast, no driver collection.  Returns (id_a, id_b, shared_fps),
-    id_a < id_b, shared_fps >= min_shared."""
+    The pairs come from the shared-key join (_shared_key_pairs) over
+    (fingerprint, doc) rows — no broadcast, no driver collection.  Returns
+    (id_a, id_b, shared_fps), id_a < id_b, shared_fps >= min_shared."""
     from .textstats import winnow_fingerprints
 
     def fp_rows(b: pd.DataFrame) -> pd.DataFrame:
@@ -1531,62 +1432,16 @@ def winnow_neardup_pairs(
             ids.extend([int(i)] * len(sel))
             fps.extend(sel)
         # fingerprints are uint64; reinterpret as int64 (bijective) so the
-        # partition/groupby keys stay a native pandas dtype
-        fp_arr = np.fromiter(fps, dtype=np.uint64, count=len(fps)).view(np.int64)
+        # key column stays a native pandas dtype
         return pd.DataFrame(
-            {
-                id_col: np.asarray(ids, dtype=np.int64),
-                "fp": fp_arr,
-                "part": (
-                    pd.util.hash_array(fp_arr) % np.uint64(parts)
-                ).astype(np.int64),
-            }
+            {id_col: np.asarray(ids, dtype=np.int64),
+             "fp": np.fromiter(fps, dtype=np.uint64, count=len(fps)).view(np.int64)}
         )
 
-    def pairs_in_part(g: pd.DataFrame) -> pd.DataFrame:
-        out = []
-        for _, grp in g.groupby("fp", sort=False):
-            ids = np.sort(grp[id_col].to_numpy(np.int64))
-            if len(ids) < 2:
-                continue
-            a, b = np.triu_indices(len(ids), k=1)
-            out.append(pd.DataFrame({"id_a": ids[a], "id_b": ids[b]}))
-        if not out:
-            return pd.DataFrame(
-                {"id_a": pd.Series(dtype="int64"), "id_b": pd.Series(dtype="int64"),
-                 "n": pd.Series(dtype="int64"), "pair_part": pd.Series(dtype="int64")}
-            )
-        c = (
-            pd.concat(out, ignore_index=True)
-            .groupby(["id_a", "id_b"], sort=False)
-            .size()
-            .reset_index(name="n")
-        )
-        c["pair_part"] = (
-            pd.util.hash_array(
-                c["id_a"].to_numpy(np.int64) * np.int64(1_000_003)
-                + c["id_b"].to_numpy(np.int64)
-            )
-            % parts
-        ).astype(np.int64)
-        return c
-
-    def sum_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        out = (
-            g.groupby(["id_a", "id_b"], sort=False)["n"]
-            .sum()
-            .reset_index(name="shared_fps")
-        )
-        out = out[out["shared_fps"] >= min_shared].reset_index(drop=True)
-        return out.astype(
-            {"id_a": "int64", "id_b": "int64", "shared_fps": "int64"}
-        )
-
-    return (
-        ds.select_columns([id_col, text_col])
-        .map_batches(fp_rows, batch_format="pandas")
-        .groupby("part")
-        .map_groups(pairs_in_part, batch_format="pandas")
-        .groupby("pair_part")
-        .map_groups(sum_pairs, batch_format="pandas")
+    fps = ds.select_columns([id_col, text_col]).map_batches(
+        fp_rows, batch_format="pandas"
+    )
+    return _shared_key_pairs(fps, ["fp"], id_col, count_col="shared_fps").map_batches(
+        lambda b: b.loc[b["shared_fps"] >= min_shared].reset_index(drop=True),
+        batch_format="pandas",
     )

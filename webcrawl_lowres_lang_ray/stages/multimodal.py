@@ -328,107 +328,31 @@ class PHashStage:
         )
 
 
-def hamming_near_pairs64(
-    hashed: "ray.data.Dataset",
-    max_hamming: int = 7,
-    parts: int = 32,
-    id_col: str = "media_id",
-    hash_col: str = "phash",
-    ok_col: str = "ok",
-) -> pd.DataFrame:
-    """Near-pairs by hamming distance <= k over a 64-bit hash column —
-    the SimHash band trick shared by the image (dHash) and audio
-    (envelope fingerprint) near-dup operators: split the hash into 8
-    8-bit bands; hamming <= 7 guarantees at least one identical band
-    (pigeonhole), so candidates come from band-keyed partitions (nothing
-    quadratic, nothing broadcast) and one vectorized popcount verifies."""
-    assert max_hamming <= 7, "8x8-bit banding guarantees recall only to 7"
+def _near_pairs(hashed: "ray.data.Dataset", max_hamming: int) -> pd.DataFrame:
+    """(id_a, id_b, hamming) of the ``ok`` rows' 64-bit ``phash`` values
+    within ``max_hamming`` (dedup.banded_hamming_pairs), sorted by pair."""
+    from .dedup import banded_hamming_pairs
 
-    def bands(b: pd.DataFrame) -> pd.DataFrame:
-        f = b[b[ok_col]]
-        h = f[hash_col].to_numpy(np.int64).view(np.uint64)
-        ids = f[id_col].to_numpy(np.int64)
-        outs = []
-        for i in range(8):
-            band = ((h >> np.uint64(8 * i)) & np.uint64(0xFF)).astype(np.int64)
-            outs.append(
-                pd.DataFrame(
-                    {
-                        id_col: ids,
-                        hash_col: f[hash_col].to_numpy(np.int64),
-                        "bkey": band * 8 + i,
-                    }
-                )
-            )
-        f2 = pd.concat(outs, ignore_index=True)
-        f2["__bp"] = (
-            pd.util.hash_array(f2["bkey"].to_numpy()) % np.uint64(parts)
-        ).astype(np.int64)
-        return f2
-
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        f = g.drop_duplicates([id_col, "bkey"])
-        m = f.merge(f, on="bkey", suffixes=("_a", "_b"))
-        m = m[m[f"{id_col}_a"] < m[f"{id_col}_b"]]
-        if not len(m):
-            return pd.DataFrame(
-                {
-                    "id_a": pd.Series([], dtype=np.int64),
-                    "id_b": pd.Series([], dtype=np.int64),
-                    "hamming": pd.Series([], dtype=np.int64),
-                }
-            )
-        x = m[f"{hash_col}_a"].to_numpy(np.int64).view(np.uint64) ^ m[
-            f"{hash_col}_b"
-        ].to_numpy(np.int64).view(np.uint64)
-        ham = np.zeros(len(m), dtype=np.int64)
-        v = x.copy()
-        for _ in range(64):
-            ham += (v & np.uint64(1)).astype(np.int64)
-            v >>= np.uint64(1)
-        keep = ham <= max_hamming
-        return pd.DataFrame(
-            {
-                "id_a": m[f"{id_col}_a"].to_numpy(np.int64)[keep],
-                "id_b": m[f"{id_col}_b"].to_numpy(np.int64)[keep],
-                "hamming": ham[keep],
-            }
-        ).drop_duplicates(["id_a", "id_b"])
-
-    out = (
-        hashed.map_batches(bands, batch_format="pandas")
-        .groupby("__bp")
-        .map_groups(pairs, batch_format="pandas")
-        .to_pandas()
-    )
-    if len(out) == 0:
-        return pd.DataFrame(
-            {
-                "id_a": pd.Series([], dtype=np.int64),
-                "id_b": pd.Series([], dtype=np.int64),
-                "hamming": pd.Series([], dtype=np.int64),
-            }
-        )
+    ok = hashed.map_batches(lambda b: b[b["ok"]], batch_format="pandas")
+    out = banded_hamming_pairs(ok, "media_id", "phash", max_hamming).to_pandas()
+    cols = ["id_a", "id_b", "hamming"]
     return (
-        out.drop_duplicates(["id_a", "id_b"])
+        out.reindex(columns=cols)
+        .astype("int64")
         .sort_values(["id_a", "id_b"], kind="mergesort")
         .reset_index(drop=True)
     )
 
 
-def phash_near_pairs(
-    ds: "ray.data.Dataset",
-    max_hamming: int = 7,
-    parts: int = 32,
-) -> pd.DataFrame:
-    """Image near-duplicate pairs by dHash hamming distance <= k (see
-    hamming_near_pairs64 for the banded-join plan).  A 2x nearest resize
-    of a structured image lands at hamming 4-6 (block-bin truncation),
-    so 7 is the right default for resize-robust near-dup."""
+def phash_near_pairs(ds: "ray.data.Dataset", max_hamming: int = 7) -> pd.DataFrame:
+    """Image near-duplicate pairs by dHash hamming distance <= k through
+    the banded Hamming join (dedup.banded_hamming_pairs).  A 2x nearest
+    resize of a structured image lands at hamming 4-6 (block-bin
+    truncation), so 7 is the right default for resize-robust near-dup."""
     hashed = ds.map_batches(
         PHashStage, batch_format="pandas", batch_size=16, concurrency=2
     )
-    return hamming_near_pairs64(hashed, max_hamming=max_hamming, parts=parts)
+    return _near_pairs(hashed, max_hamming)
 
 
 def audio_fp64(samples: "np.ndarray") -> int:
@@ -488,14 +412,10 @@ class AudioFpStage:
         )
 
 
-def audio_near_pairs(
-    ds: "ray.data.Dataset",
-    max_hamming: int = 7,
-    parts: int = 32,
-) -> pd.DataFrame:
+def audio_near_pairs(ds: "ray.data.Dataset", max_hamming: int = 7) -> pd.DataFrame:
     """Audio near-duplicate pairs by envelope-fingerprint hamming <= k
-    through the shared banded join (hamming_near_pairs64)."""
+    through the banded Hamming join (dedup.banded_hamming_pairs)."""
     hashed = ds.map_batches(
         AudioFpStage, batch_format="pandas", batch_size=16, concurrency=2
     )
-    return hamming_near_pairs64(hashed, max_hamming=max_hamming, parts=parts)
+    return _near_pairs(hashed, max_hamming)
