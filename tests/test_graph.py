@@ -295,6 +295,39 @@ class TestTriangleCount:
         assert int(out["n_triangles"].sum()) // 3 == total
         assert total > 0  # non-degenerate
 
+    def test_hub_neighbourhood_matches_bruteforce(self):
+        """One hub of degree 60 whose neighbours all have a higher degree,
+        so every hub edge orients out of the hub: one 60-node oriented
+        neighbourhood (C(60, 2) wedges in one key run), closed by random
+        edges among the neighbours."""
+        from webcrawl_lowres_lang_ray.stages.graph import (
+            triangle_count,
+            triangles_bruteforce,
+        )
+
+        rng = np.random.default_rng(23)
+        nbrs = np.arange(1, 61)
+        edges = [(0, int(v)) for v in nbrs]
+        edges += [
+            (int(v), int(w)) for v in nbrs for w in nbrs
+            if v < w and rng.random() < 0.2
+        ]
+        leaf = 1000
+        for v in nbrs:  # 61 private leaves each: degree > the hub's
+            edges += [(int(v), leaf + i) for i in range(61)]
+            leaf += 61
+        df = pd.DataFrame(edges, columns=["src", "dst"]).astype(np.int64)
+        deg = pd.concat([df["src"], df["dst"]]).value_counts()
+        assert deg[0] >= 50 and (deg[nbrs] > deg[0]).all()
+
+        out = triangle_count(_ds(df)).to_pandas()
+        counts, total = triangles_bruteforce(
+            df.rename(columns={"src": "a", "dst": "b"})
+        )
+        assert out.set_index("id")["n_triangles"].to_dict() == counts
+        assert int(out["n_triangles"].sum()) // 3 == total
+        assert counts[0] > 100  # the hub closes many of its wedges
+
     def test_triangle_free_graph_is_empty(self):
         from webcrawl_lowres_lang_ray.stages.graph import triangle_count
 
@@ -358,13 +391,19 @@ class TestKCore:
 
 
 class TestBfsDistance:
+    @pytest.fixture(autouse=True)
+    def _four_partitions(self, monkeypatch):
+        from webcrawl_lowres_lang_ray.stages import graph
+
+        monkeypatch.setattr(graph, "GRAPH_PARTITIONS", 4)
+
     def test_chain_graph_known_distances(self):
         from webcrawl_lowres_lang_ray.stages.graph import bfs_distance
 
         df = pd.DataFrame({"src": [0, 1, 2, 3], "dst": [1, 2, 3, 4]})
         out = (
             bfs_distance(_ds(df), np.array([0]), col_a="src", col_b="dst",
-                         directed=True, parts=4)
+                         directed=True)
             .to_pandas().sort_values("id").reset_index(drop=True)
         )
         assert dict(zip(out["id"], out["dist"])) == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
@@ -376,7 +415,7 @@ class TestBfsDistance:
         df = pd.DataFrame({"src": [0, 5], "dst": [1, 0]})
         out = bfs_distance(
             _ds(df), np.array([0]), col_a="src", col_b="dst",
-            directed=True, parts=4
+            directed=True
         ).to_pandas()
         assert set(out["id"]) == {0, 1}
 
@@ -385,8 +424,7 @@ class TestBfsDistance:
 
         df = pd.DataFrame({"src": [0, 1, 2, 3], "dst": [1, 2, 3, 4]})
         out = (
-            bfs_distance(_ds(df), np.array([0, 4]), col_a="src", col_b="dst",
-                         parts=4)  # undirected
+            bfs_distance(_ds(df), np.array([0, 4]), col_a="src", col_b="dst")  # undirected
             .to_pandas().sort_values("id").reset_index(drop=True)
         )
         assert dict(zip(out["id"], out["dist"])) == {0: 0, 1: 1, 2: 2, 3: 1, 4: 0}
@@ -401,20 +439,23 @@ class TestBfsDistance:
         df = pd.DataFrame({"src": [0, -1], "dst": [-1, 7]})
         out = (
             bfs_distance(_ds(df), np.array([0]), col_a="src", col_b="dst",
-                         directed=True, parts=4)
+                         directed=True)
             .to_pandas().sort_values("id").reset_index(drop=True)
         )
         assert dict(zip(out["id"], out["dist"])) == {-1: 1, 0: 0, 7: 2}
 
-    def test_random_graphs_match_serial_oracle(self):
+    def test_random_graphs_match_serial_oracle(self, monkeypatch):
+        from webcrawl_lowres_lang_ray.stages import graph
         from webcrawl_lowres_lang_ray.stages.graph import bfs_distance, bfs_numpy
+
+        monkeypatch.setattr(graph, "GRAPH_PARTITIONS", 8)
 
         df = _random_edges(n_nodes=60, n_edges=150, seed=11)
         seeds = np.array([0, 7, 13])
         for directed in (False, True):
             got = (
                 bfs_distance(_ds(df), seeds, col_a="src", col_b="dst",
-                             directed=directed, parts=8)
+                             directed=directed)
                 .to_pandas().sort_values("id").reset_index(drop=True)
             )
             want = bfs_numpy(df, seeds, col_a="src", col_b="dst",
@@ -460,11 +501,14 @@ class TestHits:
         assert list(a.columns) == ["host", "hub", "auth"]
         assert len(a) > 0
 
-    def test_long_chain_many_rounds_stays_coalesced(self):
+    def test_long_chain_many_rounds_stays_coalesced(self, monkeypatch):
         """A 40-chain forces 40 BFS rounds — exercises the per-round
         block-coalesce guard (without it, union+sort fragmentation
         compounds per round and the driver drowns in tiny blocks)."""
+        from webcrawl_lowres_lang_ray.stages import graph
         from webcrawl_lowres_lang_ray.stages.graph import bfs_distance
+
+        monkeypatch.setattr(graph, "GRAPH_PARTITIONS", 4)
 
         n = 40
         df = pd.DataFrame(
@@ -473,8 +517,8 @@ class TestHits:
         )
         out = bfs_distance(
             _ds(df), np.array([0]), col_a="src", col_b="dst",
-            directed=True, parts=4, max_rounds=n + 2,
+            directed=True, max_rounds=n + 2,
         ).materialize()
-        assert out.num_blocks() <= 8  # 2 * parts
+        assert out.num_blocks() <= 8  # 2 * GRAPH_PARTITIONS
         got = out.to_pandas().sort_values("id").reset_index(drop=True)
         assert (got["dist"].to_numpy() == np.arange(n)).all()

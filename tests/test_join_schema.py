@@ -120,6 +120,48 @@ def test_hash_join_alignment_preserves_results():
     assert got["k"].dtype == np.int64 and got["b"].dtype == np.bool_
 
 
+@pytest.mark.parametrize("how", ["inner", "left", "outer"])
+@pytest.mark.parametrize("kind", ["int", "str"])
+def test_hash_join_list_keys_match_pandas_merge(kind, how):
+    """Two key columns with repeated keys on both sides, against pd.merge.
+    Int keys share their names across the sides; string keys do not.  The
+    left value column holds int64s above 2^53, which an inner or left join
+    must return exactly."""
+    import ray.data as rd
+
+    from webcrawl_lowres_lang_ray.stages.join import hash_join
+
+    rng = np.random.default_rng(11)
+
+    def keys(n):
+        a, b = rng.integers(0, 6, n), rng.integers(0, 4, n)
+        if kind == "str":
+            return [f"a{x}" for x in a], [f"b{x}" for x in b]
+        return a.astype(np.int64), b.astype(np.int64)
+
+    lk, rk = (["a", "b"], ["a", "b"]) if kind == "int" else (["a", "b"], ["ra", "rb"])
+    la, lb = keys(120)
+    ra, rb = keys(40)
+    ldf = pd.DataFrame({"a": la, "b": lb, "lv": np.int64(2**60) + np.arange(120)})
+    rdf = pd.DataFrame({rk[0]: ra, rk[1]: rb, "rv": rng.random(40)})
+    got = hash_join(
+        rd.from_pandas(ldf).repartition(4), rd.from_pandas(rdf).repartition(3),
+        lk, rk, how=how, parts=8,
+    ).to_pandas()
+    # an outer join widens the int columns of both sides to float64 in
+    # every partition; pandas widens only where a row is unmatched
+    want = ldf.merge(rdf, left_on=lk, right_on=rk, how=how).astype(dict(got.dtypes))
+
+    def norm(df):
+        df = df[sorted(df.columns)]
+        return df.sort_values(list(df.columns), kind="mergesort").reset_index(drop=True)
+
+    assert len(got) > len(ldf) // 2
+    pd.testing.assert_frame_equal(norm(got), norm(want))
+    if how != "outer":
+        assert got["lv"].dtype == np.int64
+
+
 def test_rays_empty_range_blocks_are_not_fixable_by_udfs():
     """The (b) class: a fully schema-stable UDF still draws the warning when
     the sort exchange has empty ranges — proving the filter (not a UDF

@@ -186,11 +186,12 @@ class TestFuzzyPairs:
         # substitution=1, equal=0, 3 subs, insertion=1, deletion=1, len-diff>1
         assert list(_lev1_mask(a, b)) == [True, False, False, True, True, False]
 
-    def test_deletion_keys_cover_all_lev1_pairs(self):
+    def test_deletion_keys_cover_all_lev1_pairs(self, monkeypatch):
         import itertools
 
         import ray.data
 
+        from webcrawl_lowres_lang_ray.stages import fuzzy
         from webcrawl_lowres_lang_ray.stages.fuzzy import fuzzy_pairs_lev1
 
         words = ["cat", "cut", "cart", "at", "dog", "dig", "cats", "ca"]
@@ -211,16 +212,19 @@ class TestFuzzyPairs:
             if lev(*p) == 1
         )
         ds = ray.data.from_pandas(pd.DataFrame({"w": words * 3}))  # with dups
-        got = fuzzy_pairs_lev1(ds, "w", parts=4).to_pandas()
+        monkeypatch.setattr(fuzzy, "FUZZY_PARTITIONS", 4)
+        got = fuzzy_pairs_lev1(ds, "w").to_pandas()
         assert sorted(zip(got["w_a"], got["w_b"])) == want
 
-    def test_transposition_is_not_lev1(self):
+    def test_transposition_is_not_lev1(self, monkeypatch):
         import ray.data
 
+        from webcrawl_lowres_lang_ray.stages import fuzzy
         from webcrawl_lowres_lang_ray.stages.fuzzy import fuzzy_pairs_lev1
 
         ds = ray.data.from_pandas(pd.DataFrame({"w": ["ab", "ba"]}))
-        assert len(fuzzy_pairs_lev1(ds, "w", parts=2).to_pandas()) == 0
+        monkeypatch.setattr(fuzzy, "FUZZY_PARTITIONS", 2)
+        assert len(fuzzy_pairs_lev1(ds, "w").to_pandas()) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ Scale notes (100 TB target):
 * the Bloom bitmap is a mergeable per-batch partial (one 128 KiB blob per
   batch on the exchange, OR-merged) exactly like the HLL/CMS sketches in
   ``stages/sketch.py``; at larger corpora raise ``m_bits`` or tree-merge;
-* only bloom-POSITIVE candidates ride the verify shuffle — the partition
-  join is keyed by the same md5-prefix bucket used everywhere else.
+* only bloom-POSITIVE candidates ride the verify shuffle, one
+  ``join.hash_join`` on the content-key md5.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ import ray
 import ray.data
 
 from ..functions.hashing import md5_batch
+from .agg import combiner_agg
+from .join import hash_join
 
 # ---------------------------------------------------------------------------
 # shared small helpers
@@ -203,8 +205,8 @@ def incremental_dedup(
     Plan: build a Bloom filter over the prior corpus' key-md5s (mergeable
     partials); probe each new doc — bloom-NEGATIVE docs are provably novel
     and never touch the exchange; bloom-positive candidates are verified
-    exactly by a partition join against the prior hashes (md5-prefix
-    partition key), which also removes Bloom false positives.  Output:
+    exactly by a left ``hash_join`` onto the distinct prior key md5s,
+    which also removes Bloom false positives.  Output:
     ``(doc_id, key_md5, is_dup)`` — exact, SQL-oracle-checkable."""
 
     def hashed(b: pd.DataFrame, keep_new: bool) -> pd.DataFrame:
@@ -221,8 +223,11 @@ def incremental_dedup(
 
     prior = docs.map_batches(
         lambda b: hashed(b, False), batch_format="pandas"
-    ).materialize()  # read once: feeds BOTH the bloom build and the verify join
+    ).materialize()  # read once: feeds BOTH the bloom build and the distinct keys
     bloom = np.frombuffer(bloom_build(prior, "key_md5", m_bits), dtype=np.uint8)
+    prior_keys = combiner_agg(
+        prior, ["key_md5"], [("n_prior", None, "count")], parts
+    ).materialize()
     bloom_ref = ray.put(bloom)
 
     new_hashed = docs.map_batches(
@@ -243,32 +248,20 @@ def incremental_dedup(
     novel = new_hashed.map_batches(negatives, batch_format="pandas")
     cand = new_hashed.map_batches(positives, batch_format="pandas")
 
-    # partition join: candidates + prior hashes co-partitioned by md5 prefix
-    def tag(side: int):
-        def fn(b: pd.DataFrame) -> pd.DataFrame:
-            b = b.copy()
-            b["side"] = np.full(len(b), side, dtype=np.int8)
-            words = _md5_words(list(b["key_md5"]))
-            b["part"] = (
-                (words[:, 0] % np.uint32(parts)).astype(np.int64)
-                if len(b)
-                else np.zeros(0, dtype=np.int64)
-            )
-            return b
+    # exact verify: left join of the candidates onto the distinct prior
+    # keys; a matched key is a duplicate
+    def mark(b: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
+            {
+                "doc_id": b["doc_id"].to_numpy(np.int64),
+                "key_md5": b["key_md5"].to_numpy(object),
+                "is_dup": b["n_prior"].notna().to_numpy(),
+            }
+        )
 
-        return fn
-
-    tagged = cand.map_batches(tag(1), batch_format="pandas").union(
-        prior.map_batches(tag(0), batch_format="pandas")
-    )
-
-    def mark(g: pd.DataFrame) -> pd.DataFrame:
-        prior_h = set(g.loc[g["side"] == 0, "key_md5"])
-        c = g[g["side"] == 1].copy()
-        c["is_dup"] = c["key_md5"].isin(prior_h).to_numpy()
-        return c[["doc_id", "key_md5", "is_dup"]]
-
-    verified = tagged.groupby("part").map_groups(mark, batch_format="pandas")
+    verified = hash_join(
+        cand, prior_keys, "key_md5", how="left", parts=parts
+    ).map_batches(mark, batch_format="pandas")
     return novel.select_columns(["doc_id", "key_md5", "is_dup"]).union(verified)
 
 
@@ -285,7 +278,6 @@ def source_mix_weights(
     up-weights small sources).  Combiner agg -> one tiny frame; the driver
     math is over |sources| rows."""
     from ..stages.textstats import round_half_away
-    from .agg import combiner_agg
 
     def wc(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -540,8 +532,8 @@ def training_shard_export(
     shard.  Returns the per-shard manifest ``(shard, n_docs, total_words)``
     computed by READING BACK the written files (write validation included).
 
-    Scale shape: the keep decisions join back onto the doc stream via ONE
-    doc_id-keyed partition exchange — the standard pay-once write shuffle
+    Scale shape: the kept doc ids join back onto the doc stream via ONE
+    doc_id-keyed ``hash_join`` — the standard pay-once write shuffle
     (text rides an exchange exactly once; decisions are a few bytes/row).
     The 16-way shard split means a failed export rerun can skip finished
     ``shard=X`` directories; rewrite here is whole-dir (idempotent)."""
@@ -552,48 +544,25 @@ def training_shard_export(
         bench_mod=bench_mod, parts=parts, k_words=k_words,
     )
 
-    def tag_docs(b: pd.DataFrame) -> pd.DataFrame:
+    kept_ids = decisions.map_batches(
+        lambda b: b.loc[b["keep"], ["doc_id"]], batch_format="pandas"
+    ).materialize()
+
+    def doc_rows(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
                 "doc_id": b[id_col].to_numpy(np.int64),
                 "text": b[text_col].to_numpy(object),
-                "keep": np.zeros(len(b), dtype=bool),
-                "side": np.zeros(len(b), dtype=np.int8),
-                "jpart": (b[id_col] % parts).to_numpy(np.int64),
             }
         )
 
-    def tag_dec(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "doc_id": b["doc_id"].to_numpy(np.int64),
-                "text": np.full(len(b), "", dtype=object),
-                "keep": b["keep"].to_numpy(),
-                "side": np.ones(len(b), dtype=np.int8),
-                "jpart": (b["doc_id"] % parts).to_numpy(np.int64),
-            }
-        )
+    def shard(b: pd.DataFrame) -> pd.DataFrame:
+        h = md5_batch([str(i) for i in b["doc_id"]])
+        return b.assign(shard=np.array([x[0] for x in h], dtype=object))
 
-    tagged = docs.map_batches(tag_docs, batch_format="pandas").union(
-        decisions.map_batches(tag_dec, batch_format="pandas")
-    )
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        kept_ids = set(
-            g.loc[(g["side"] == 1) & g["keep"], "doc_id"].to_numpy(np.int64)
-        )
-        d = g[g["side"] == 0]
-        d = d[d["doc_id"].isin(kept_ids)]
-        h = md5_batch([str(i) for i in d["doc_id"]])
-        return pd.DataFrame(
-            {
-                "doc_id": d["doc_id"].to_numpy(np.int64),
-                "text": d["text"].to_numpy(object),
-                "shard": np.array([x[0] for x in h], dtype=object),
-            }
-        )
-
-    kept = tagged.groupby("jpart").map_groups(merge, batch_format="pandas")
+    kept = hash_join(
+        docs.map_batches(doc_rows, batch_format="pandas"), kept_ids, "doc_id", parts=parts
+    ).map_batches(shard, batch_format="pandas")
     shutil.rmtree(out_dir, ignore_errors=True)
     kept.write_parquet(out_dir, partition_cols=["shard"])
 
@@ -611,8 +580,6 @@ def training_shard_export(
                 ),
             }
         )
-
-    from .agg import combiner_agg
 
     out = (
         combiner_agg(
@@ -973,8 +940,6 @@ def source_mix_sample(
     word-count pass (|sources| rows to the driver), thresholds broadcast
     once, then a pure streaming filter — no data exchange at all."""
     import math
-
-    from .agg import combiner_agg
 
     def wc(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(

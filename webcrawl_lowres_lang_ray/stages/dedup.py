@@ -1030,7 +1030,6 @@ def line_dedup(
     ds: "ray.data.Dataset",
     id_col: str = "doc_id",
     text_col: str = "text",
-    parts: int = _PAIR_PARTITIONS,
     min_chars: int = 1,
 ) -> "ray.data.Dataset":
     """CCNet-style corpus-level line deduplication (Wenzek et al. 2020
@@ -1074,7 +1073,7 @@ def line_dedup(
             la = np.asarray(lines, dtype=object)
             h1 = pd.util.hash_array(la).view(np.int64)
             h2 = pd.util.hash_array(la, hash_key=_HK2).view(np.int64)
-            part = (h1.view(np.uint64) % np.uint64(parts)).astype(np.int64)
+            part = (h1.view(np.uint64) % np.uint64(_PAIR_PARTITIONS)).astype(np.int64)
         else:
             h1 = h2 = part = np.zeros(0, dtype=np.int64)
         return pd.DataFrame(
@@ -1130,7 +1129,7 @@ def line_dedup(
             return b.assign(dpart=pd.Series(dtype="int64"))
         b = b.copy()
         b["dpart"] = (
-            pd.util.hash_array(b["doc"].to_numpy(np.int64)) % parts
+            pd.util.hash_array(b["doc"].to_numpy(np.int64)) % _PAIR_PARTITIONS
         ).astype(np.int64)
         return b
 
@@ -1229,7 +1228,6 @@ def dup_ngram_fraction(
     n: int = 5,
     id_col: str = "doc_id",
     text_col: str = "text",
-    parts: int = 64,
     round_dp: int = 4,
 ) -> "ray.data.Dataset":
     """Duplicated-n-gram-fraction filter (the CCNet / RefinedWeb
@@ -1342,7 +1340,7 @@ def dup_ngram_fraction(
             (doc[1:] != doc[:-1]) | (g1[1:] != g1[:-1]) | (g2[1:] != g2[:-1])
         )
         doc, g1, g2 = doc[keep], g1[keep], g2[keep]
-        part = (g1.view(np.uint64) % np.uint64(parts)).astype(np.int64)
+        part = (g1.view(np.uint64) % np.uint64(_PAIR_PARTITIONS)).astype(np.int64)
         return pa.Table.from_arrays(
             [pa.array(doc), pa.array(g1), pa.array(g2), pa.array(part)],
             schema=_SHINGLE_SCHEMA,
@@ -1364,7 +1362,7 @@ def dup_ngram_fraction(
         udoc, inv = np.unique(doc, return_inverse=True)
         n_shingles = np.bincount(inv)
         n_dup = np.bincount(inv, weights=dup).astype(np.int64)
-        dpart = (pd.util.hash_array(udoc) % np.uint64(parts)).astype(np.int64)
+        dpart = (pd.util.hash_array(udoc) % np.uint64(_PAIR_PARTITIONS)).astype(np.int64)
         return pa.Table.from_arrays(
             [pa.array(udoc), pa.array(n_shingles.astype(np.int64)),
              pa.array(n_dup), pa.array(dpart)],

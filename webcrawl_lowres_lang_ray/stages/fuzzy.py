@@ -14,10 +14,10 @@ CANDIDATE; the vectorized verify removes false pairs).
 
 Plan: distinct values (one hash exchange) → vectorized per-length key
 emission (numpy char matrix, one np.delete per position — no Python
-per-string loop) → key-hash partitioned groupby expands each key group
-to candidate pairs with a self-merge (groups are tiny: words sharing a
-deletion variant) → vectorized lev==1 verify → pair-hash partitioned
-dedup.  Every row moves O(L) times (once per emitted key), never N^2.
+per-string loop) → key-hash partitioned groupby expands every key run to
+candidate pairs at once (``dedup._run_pairs``) → vectorized lev==1
+verify → pair-hash partitioned dedup.  Every row moves O(L) times (once
+per emitted key), never N^2.
 """
 
 from __future__ import annotations
@@ -26,6 +26,11 @@ import numpy as np
 import pandas as pd
 
 import ray.data
+
+from .dedup import _run_pairs
+
+# exchange partitions of the distinct, key and pair exchanges
+FUZZY_PARTITIONS = 64
 
 
 def _deletion_keys(words: np.ndarray) -> pd.DataFrame:
@@ -92,39 +97,30 @@ def _lev1_mask(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def fuzzy_pairs_lev1(
     ds: "ray.data.Dataset",
     col: str,
-    parts: int = 64,
     out_cols: tuple[str, str] = ("w_a", "w_b"),
 ) -> "ray.data.Dataset":
     """All unordered pairs of DISTINCT ``col`` values at edit distance
     exactly 1.  Output columns ``out_cols`` with w_a < w_b."""
     ca, cb = out_cols
+    parts = np.uint64(FUZZY_PARTITIONS)
 
     def distinct_local(b: pd.DataFrame) -> pd.DataFrame:
         f = b[[col]].drop_duplicates().copy()
-        f["__p"] = (
-            pd.util.hash_array(f[col].to_numpy(object)) % np.uint64(parts)
-        ).astype(np.int64)
+        f["__p"] = (pd.util.hash_array(f[col].to_numpy(object)) % parts).astype(np.int64)
         return f
 
     def emit_keys(g: pd.DataFrame) -> pd.DataFrame:
         words = g[col].drop_duplicates().to_numpy(object)
         f = _deletion_keys(words)
-        f["__kp"] = (f["key"].to_numpy(np.uint64) % np.uint64(parts)).astype(np.int64)
+        f["__kp"] = (f["key"].to_numpy(np.uint64) % parts).astype(np.int64)
         return f
 
     def pairs_part(g: pd.DataFrame) -> pd.DataFrame:
-        f = g[["key", "w"]].drop_duplicates()
-        m = f.merge(f, on="key", suffixes=("_a", "_b"))
-        m = m[m["w_a"] < m["w_b"]]
-        if not len(m):
-            return pd.DataFrame(
-                {
-                    ca: pd.Series([], dtype=object),
-                    cb: pd.Series([], dtype=object),
-                    "__pp": pd.Series([], dtype=np.int64),
-                }
-            )
-        av, bv = m["w_a"].to_numpy(object), m["w_b"].to_numpy(object)
+        # sorted codes: code order is string order, so every pair of a
+        # key run comes out as (w_a, w_b) with w_a < w_b
+        codes, words = pd.factorize(g["w"].to_numpy(object), sort=True)
+        i, j = _run_pairs(g["key"].to_numpy(np.int64), codes)
+        av, bv = words[codes[i]], words[codes[j]]
         keep = _lev1_mask(av, bv)
         out = pd.DataFrame({ca: av[keep], cb: bv[keep]}).drop_duplicates()
         # the joined string is ONLY a partition router: two distinct pairs
@@ -132,8 +128,7 @@ def fuzzy_pairs_lev1(
         # the same partition — pair identity downstream is always the two
         # columns (dedup_part drops duplicates on [ca, cb], never the key)
         out["__pp"] = (
-            pd.util.hash_array((out[ca] + "\x1f" + out[cb]).to_numpy(object))
-            % np.uint64(parts)
+            pd.util.hash_array((out[ca] + "\x1f" + out[cb]).to_numpy(object)) % parts
         ).astype(np.int64)
         return out
 

@@ -1,25 +1,28 @@
-"""Link-graph analysis: distributed PageRank over (src, dst) edge lists.
+"""Link-graph operators over int64 edge lists: PageRank, connected
+components, triangle counts, k-core, multi-source BFS distance and HITS.
 
-PageRank (Brin & Page 1998) is the classic web-scale iterative algorithm —
-the operator class (fixed-point iteration over a partitioned edge list) that
-a Dataset API has to express with per-iteration exchanges rather than a
-single declarative plan.
+Node ids are int64 (callers map URLs and hosts through ``url_ids``: the
+leading 8 bytes of md5 — deterministic, coordination-free; birthday
+collision odds ~n^2/2^65).  The operators come in two shapes:
 
-Implementation shape (designed for 10^10-edge graphs):
-* node ids are int64 (callers map URLs via the leading 8 bytes of md5 —
-  deterministic, coordination-free; birthday collision odds ~n^2/2^65);
-* out-degrees are combiner-aggregated and joined onto the edge list ONCE
-  (hash-partition exchange keyed by src); the weighted edge list is then
-  materialized and reused every iteration;
-* each iteration is two small exchanges carrying (id, float) rows only:
-  ranks partition-join onto edges by src -> per-edge contributions
-  pre-summed per (partition, dst) batch -> combiner-agg by dst;
-* dangling-node mass is dropped (the simplified PageRank variant:
-  ``r' = (1-d)/N + d * sum_{u->v} r(u)/outdeg(u)``); the numpy oracle in
-  tests/test_graph.py uses the identical formula, so parity is exact.
+* fully exchanged (``pagerank``, ``triangle_count``, ``kcore``,
+  ``bfs_distance``): graph state stays a Dataset and each round is a few
+  bounded exchanges of (id, value) rows, valid at 10^10 nodes.  Every
+  equi-join is ``join.hash_join`` (materialized sides), every grouped
+  count/sum/min is ``agg.combiner_agg``, the triangle wedges are
+  ``dedup._run_pairs`` runs and the undirected edge set is
+  ``_undirected_edges``;
+* vertex-state broadcast (``pagerank_broadcast``, ``connected_components``,
+  ``hits``): the node vector (``_node_ids``) is ``ray.put`` once per sweep
+  and each sweep is ONE map over the edge blocks whose per-batch partials
+  the driver scatters into the next vector (``_scatter_sweep``); valid
+  while the node vector fits one process (~10^8 nodes).
 
-Ranks never live on the driver: they stay a Dataset of (id, rank) rows and
-are re-materialized per iteration to cut lineage.
+``pagerank_auto`` picks a PageRank plan by edge count.  PageRank drops
+dangling-node mass (``r' = (1-d)/N + d * sum_{u->v} r(u)/outdeg(u)``),
+like the ``pagerank_numpy`` oracle.  Every operator has a serial oracle
+here (``*_numpy`` / ``*_bruteforce``) that tests/test_graph.py checks it
+against.
 """
 
 from __future__ import annotations
@@ -27,9 +30,15 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+import ray
 import ray.data
 
 from .agg import combiner_agg
+from .dedup import _dedup_pairs, _run_pairs
+from .join import hash_join
+
+# exchange partitions of every fully-exchanged operator's joins and counts
+GRAPH_PARTITIONS = 32
 
 
 def url_ids(urls) -> np.ndarray:
@@ -43,109 +52,125 @@ def url_ids(urls) -> np.ndarray:
     return out
 
 
-def _partition_join_ranks(
-    edges: "ray.data.Dataset", ranks: "ray.data.Dataset", damping: float, parts: int
-) -> "ray.data.Dataset":
-    """One PageRank sweep: (dst, partial contribution sums) rows."""
+def _ends(col_a: str, col_b: str):
+    """Batch fn: one ``id`` row per edge end."""
 
-    def tag_ranks(b: pd.DataFrame) -> pd.DataFrame:
+    def fn(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
-            {
-                "src": b["id"].to_numpy(np.int64),
-                "dst": np.zeros(len(b), dtype=np.int64),
-                "outdeg": np.zeros(len(b), dtype=np.int64),
-                "rank": b["rank"].to_numpy(np.float64),
-                "side": np.ones(len(b), dtype=np.int8),
-                "jpart": (b["id"] % parts).to_numpy(np.int64),
-            }
+            {"id": np.concatenate([b[col_a].to_numpy(np.int64), b[col_b].to_numpy(np.int64)])}
         )
 
-    def tag_edges(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["rank"] = np.zeros(len(b), dtype=np.float64)
-        b["side"] = np.zeros(len(b), dtype=np.int8)
-        b["jpart"] = (b["src"] % parts).to_numpy(np.int64)
-        return b[["src", "dst", "outdeg", "rank", "side", "jpart"]]
+    return fn
 
-    tagged = edges.map_batches(tag_edges, batch_format="pandas").union(
-        ranks.map_batches(tag_ranks, batch_format="pandas")
+
+def _degrees(edges: "ray.data.Dataset") -> "ray.data.Dataset":
+    """(id, deg) of an ``_undirected_edges`` Dataset."""
+    return combiner_agg(
+        edges.map_batches(_ends("id_a", "id_b"), batch_format="pandas"),
+        ["id"],
+        [("deg", None, "count")],
+        GRAPH_PARTITIONS,
     )
 
-    def contribs(g: pd.DataFrame) -> pd.DataFrame:
-        r = g[g["side"] == 1].set_index("src")["rank"]
-        e = g[g["side"] == 0]
-        if not len(e):
-            return pd.DataFrame(
-                {"dst": pd.Series(dtype="int64"), "c": pd.Series(dtype="float64")}
-            )
-        rv = r.reindex(e["src"]).to_numpy(np.float64)
-        c = damping * np.nan_to_num(rv) / np.maximum(e["outdeg"].to_numpy(), 1)
-        # pre-sum per dst INSIDE the partition (combiner): the downstream
-        # exchange carries one row per (partition, dst), never per edge
-        out = (
-            pd.DataFrame({"dst": e["dst"].to_numpy(np.int64), "c": c})
+
+def _empty(*cols: str) -> "ray.data.Dataset":
+    """A zero-row Dataset of int64 ``cols``."""
+    import pyarrow as pa
+
+    return ray.data.from_arrow(pa.table({c: pa.array([], pa.int64()) for c in cols}))
+
+
+def _undirected_edges(
+    edges_ds: "ray.data.Dataset", src_col: str, dst_col: str
+) -> "ray.data.Dataset":
+    """The simple undirected graph of an edge list, materialized: one
+    (id_a, id_b) row per edge, id_a < id_b, self-loops dropped."""
+
+    def canon(b: pd.DataFrame) -> pd.DataFrame:
+        a = b[src_col].to_numpy(np.int64)
+        c = b[dst_col].to_numpy(np.int64)
+        m = a != c
+        return pd.DataFrame(
+            {"id_a": np.minimum(a, c)[m], "id_b": np.maximum(a, c)[m]}
+        ).drop_duplicates()
+
+    return _dedup_pairs(
+        edges_ds.map_batches(canon, batch_format="pandas"), ["id_a", "id_b"]
+    ).materialize()
+
+
+def _node_ids(edges: "ray.data.Dataset", col_a: str, col_b: str) -> np.ndarray:
+    """Sorted distinct ids on either end of an edge Dataset (per-batch
+    unique, then one driver unique)."""
+    ends = edges.map_batches(
+        lambda b: pd.DataFrame({"id": np.unique(_ends(col_a, col_b)(b)["id"])}),
+        batch_format="pandas",
+    ).to_pandas()
+    return np.unique(ends["id"].to_numpy(np.int64))
+
+
+def _scatter_sweep(edges, col_a, col_b, ids, vec, emit, how, out) -> np.ndarray:
+    """One vertex-state-broadcast sweep: ``ray.put`` (ids, vec) once; each
+    edge batch turns its endpoint positions (s, d) in ``ids`` into
+    (node position, value) rows via ``emit(b, s, d, vec)``, pre-reduced
+    per batch by ``how`` ('sum' or 'min'); the driver scatters the
+    partials into ``out`` (np.add.at / np.minimum.at) and returns it."""
+    ref = ray.put((ids, vec))
+
+    def sweep(b: pd.DataFrame) -> pd.DataFrame:
+        sids, v = ray.get(ref)
+        s = np.searchsorted(sids, b[col_a].to_numpy(np.int64))
+        d = np.searchsorted(sids, b[col_b].to_numpy(np.int64))
+        node, val = emit(b, s, d, v)
+        part = pd.DataFrame({"node": node, "v": val}).groupby("node", sort=False)["v"]
+        part = part.sum() if how == "sum" else part.min()
+        return pd.DataFrame({"node": part.index.to_numpy(np.int64), "v": part.to_numpy()})
+
+    partials = edges.map_batches(sweep, batch_format="pandas").to_pandas()
+    if len(partials):
+        scatter = np.add.at if how == "sum" else np.minimum.at
+        scatter(out, partials["node"].to_numpy(np.int64), partials["v"].to_numpy())
+    return out
+
+
+# ---------------------------------------------------------------------------
+# PageRank
+# ---------------------------------------------------------------------------
+
+
+def _weighted_edges(edges_ds: "ray.data.Dataset") -> "ray.data.Dataset":
+    """(src, dst, outdeg) edges, materialized: combiner-counted
+    out-degrees joined onto the edge list by src.  Both PageRank plans
+    reread it every sweep."""
+    deg = combiner_agg(
+        edges_ds, ["src"], [("outdeg", None, "count")], GRAPH_PARTITIONS
+    ).materialize()
+    return hash_join(
+        edges_ds.select_columns(["src", "dst"]), deg, "src", parts=GRAPH_PARTITIONS
+    ).materialize()
+
+
+def _partition_join_ranks(
+    edges: "ray.data.Dataset", ranks: "ray.data.Dataset", damping: float
+) -> "ray.data.Dataset":
+    """One PageRank sweep: weighted edges joined with the (id, rank)
+    table on src, then (dst, contribution) rows pre-summed per batch."""
+
+    def contribs(b: pd.DataFrame) -> pd.DataFrame:
+        c = damping * b["rank"].to_numpy(np.float64) / np.maximum(
+            b["outdeg"].to_numpy(np.int64), 1
+        )
+        # pre-sum per dst (combiner): the downstream exchange carries one
+        # row per (batch, dst), never per edge
+        return (
+            pd.DataFrame({"dst": b["dst"].to_numpy(np.int64), "c": c})
             .groupby("dst", sort=False)["c"]
             .sum()
             .reset_index()
         )
-        return out
 
-    return tagged.groupby("jpart").map_groups(contribs, batch_format="pandas")
-
-
-def _weighted_edges(edges_ds: "ray.data.Dataset", parts: int) -> "ray.data.Dataset":
-    """(src, dst, outdeg) edges, materialized: out-degrees are
-    combiner-counted, then joined onto the edge list by one exchange
-    keyed by src.  Both PageRank plans reread it every sweep."""
-
-    def tag_e(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "src": b["src"].to_numpy(np.int64),
-                "dst": b["dst"].to_numpy(np.int64),
-                "outdeg": np.zeros(len(b), dtype=np.int64),
-                "side": np.zeros(len(b), dtype=np.int8),
-                "jpart": (b["src"] % parts).to_numpy(np.int64),
-            }
-        )
-
-    def tag_d(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "src": b["src"].to_numpy(np.int64),
-                "dst": np.zeros(len(b), dtype=np.int64),
-                "outdeg": b["outdeg"].to_numpy(np.int64),
-                "side": np.ones(len(b), dtype=np.int8),
-                "jpart": (b["src"] % parts).to_numpy(np.int64),
-            }
-        )
-
-    def attach_deg(g: pd.DataFrame) -> pd.DataFrame:
-        d = g[g["side"] == 1].set_index("src")["outdeg"]
-        e = g[g["side"] == 0]
-        if not len(e):
-            return pd.DataFrame(
-                {
-                    "src": pd.Series(dtype="int64"),
-                    "dst": pd.Series(dtype="int64"),
-                    "outdeg": pd.Series(dtype="int64"),
-                }
-            )
-        return pd.DataFrame(
-            {
-                "src": e["src"].to_numpy(np.int64),
-                "dst": e["dst"].to_numpy(np.int64),
-                "outdeg": d.reindex(e["src"]).to_numpy(np.int64),
-            }
-        )
-
-    deg = combiner_agg(edges_ds, ["src"], [("outdeg", None, "count")], parts)
-    return (
-        edges_ds.map_batches(tag_e, batch_format="pandas")
-        .union(deg.map_batches(tag_d, batch_format="pandas"))
-        .groupby("jpart")
-        .map_groups(attach_deg, batch_format="pandas")
-        .materialize()
+    return hash_join(edges, ranks, "src", "id", parts=GRAPH_PARTITIONS).map_batches(
+        contribs, batch_format="pandas"
     )
 
 
@@ -153,36 +178,23 @@ def pagerank(
     edges_ds: "ray.data.Dataset",
     iterations: int = 5,
     damping: float = 0.85,
-    parts: int = 32,
     round_dp: int = 8,
 ) -> "ray.data.Dataset":
-    """PageRank over an (src, dst) int64 edge Dataset; returns (id, rank)
-    after ``iterations`` sweeps from the uniform start, ranks rounded to
-    ``round_dp`` (fixed partitioning -> deterministic sums)."""
+    """Fully-exchanged PageRank over an (src, dst) int64 edge Dataset;
+    returns (id, rank) after ``iterations`` sweeps from the uniform start,
+    ranks rounded to ``round_dp``.  Ranks never visit the driver: each
+    sweep is the rank join (``_partition_join_ranks``) and a combiner sum
+    by dst, re-materialized to cut lineage."""
     from ..stages.textstats import round_half_away
 
-    # nodes = distinct ids on either edge end (one exchange of id rows)
-    def both_ends(b: pd.DataFrame) -> pd.DataFrame:
-        ids = np.unique(
-            np.concatenate(
-                [b["src"].to_numpy(np.int64), b["dst"].to_numpy(np.int64)]
-            )
-        )
-        return pd.DataFrame({"id": ids, "part": ids % parts})
-
-    def distinct(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"id": np.unique(g["id"].to_numpy(np.int64))})
-
-    nodes = (
-        edges_ds.map_batches(both_ends, batch_format="pandas")
-        .groupby("part")
-        .map_groups(distinct, batch_format="pandas")
-        .materialize()
-    )
+    nodes = combiner_agg(
+        edges_ds.map_batches(_ends("src", "dst"), batch_format="pandas"),
+        ["id"],
+        [],
+        GRAPH_PARTITIONS,
+    ).materialize()
     n = nodes.count()
-
-    edges_w = _weighted_edges(edges_ds, parts)
-
+    edges_w = _weighted_edges(edges_ds)
     base = (1.0 - damping) / n
 
     def init_ranks(b: pd.DataFrame) -> pd.DataFrame:
@@ -205,20 +217,19 @@ def pagerank(
 
     zeros = nodes.map_batches(zero_contrib, batch_format="pandas").materialize()
 
-    for _ in range(iterations):
-        contrib = _partition_join_ranks(edges_w, ranks, damping, parts)
-        summed = combiner_agg(
-            contrib.union(zeros), ["dst"], [("csum", "c", "sum")], parts
+    def to_rank(b: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
+            {
+                "id": b["dst"].to_numpy(np.int64),
+                "rank": base + b["csum"].to_numpy(np.float64),
+            }
         )
 
-        def to_rank(b: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    "id": b["dst"].to_numpy(np.int64),
-                    "rank": base + b["csum"].to_numpy(np.float64),
-                }
-            )
-
+    for _ in range(iterations):
+        contrib = _partition_join_ranks(edges_w, ranks, damping)
+        summed = combiner_agg(
+            contrib.union(zeros), ["dst"], [("csum", "c", "sum")], GRAPH_PARTITIONS
+        )
         ranks = summed.map_batches(to_rank, batch_format="pandas").materialize()
 
     def rounded(b: pd.DataFrame) -> pd.DataFrame:
@@ -233,62 +244,29 @@ def pagerank_broadcast(
     edges_ds: "ray.data.Dataset",
     iterations: int = 5,
     damping: float = 0.85,
-    parts: int = 32,
     round_dp: int = 8,
 ) -> pd.DataFrame:
     """Vertex-state-broadcast PageRank: same update rule as ``pagerank()``
-    but the rank VECTOR is broadcast per sweep (``ray.put`` of two numpy
-    arrays) and edge blocks are never re-shuffled — each sweep is ONE
-    map execution emitting per-batch (dst, contribution) partials that the
-    driver merges into the next vector.
-
-    Valid while the node table fits one process (~10^8 nodes / a few GB);
-    beyond that use ``pagerank()`` (fully-exchanged ranks).  Returns the
-    (id, rank) node frame, ids ascending, ranks rounded."""
-    import ray
-
+    but each sweep is one ``_scatter_sweep`` of the rank vector over the
+    weighted edges — edge blocks are never re-shuffled.  Valid while the
+    node table fits one process (~10^8 nodes / a few GB); beyond that use
+    ``pagerank()``.  Returns the (id, rank) node frame, ids ascending,
+    ranks rounded."""
     from ..stages.textstats import round_half_away
 
-    edges_w = _weighted_edges(edges_ds, parts)
-
-    # node vector on the driver (sorted ids -> searchsorted rank lookup)
-    ends = edges_w.map_batches(
-        lambda b: pd.DataFrame(
-            {
-                "id": np.unique(
-                    np.concatenate(
-                        [b["src"].to_numpy(np.int64), b["dst"].to_numpy(np.int64)]
-                    )
-                )
-            }
-        ),
-        batch_format="pandas",
-    ).to_pandas()
-    ids = np.unique(ends["id"].to_numpy(np.int64))
+    edges_w = _weighted_edges(edges_ds)
+    ids = _node_ids(edges_w, "src", "dst")
     n = len(ids)
     base = (1.0 - damping) / n
     rank = np.full(n, 1.0 / n, dtype=np.float64)
 
+    def emit(b, s, d, r):
+        return d, damping * r[s] / np.maximum(b["outdeg"].to_numpy(np.int64), 1)
+
     for _ in range(iterations):
-        ref = ray.put((ids, rank))
-
-        def sweep(b: pd.DataFrame) -> pd.DataFrame:
-            sids, r = ray.get(ref)
-            rv = r[np.searchsorted(sids, b["src"].to_numpy(np.int64))]
-            c = damping * rv / np.maximum(b["outdeg"].to_numpy(np.int64), 1)
-            out = (
-                pd.DataFrame({"dst": b["dst"].to_numpy(np.int64), "c": c})
-                .groupby("dst", sort=False)["c"]
-                .sum()
-                .reset_index()
-            )
-            return out
-
-        partials = edges_w.map_batches(sweep, batch_format="pandas").to_pandas()
-        contrib = np.zeros(n, dtype=np.float64)
-        if len(partials):
-            pos = np.searchsorted(ids, partials["dst"].to_numpy(np.int64))
-            np.add.at(contrib, pos, partials["c"].to_numpy(np.float64))
+        contrib = _scatter_sweep(
+            edges_w, "src", "dst", ids, rank, emit, "sum", np.zeros(n, dtype=np.float64)
+        )
         rank = base + contrib
 
     return pd.DataFrame({"id": ids, "rank": round_half_away(rank, round_dp)})
@@ -305,7 +283,6 @@ def pagerank_auto(
     edges_ds: "ray.data.Dataset",
     iterations: int = 5,
     damping: float = 0.85,
-    parts: int = 32,
     round_dp: int = 8,
     n_edges: int | None = None,
 ) -> "ray.data.Dataset":
@@ -322,9 +299,9 @@ def pagerank_auto(
         n_edges = edges_ds.count()
     if n_edges <= BROADCAST_PAGERANK_MAX_EDGES:
         return ray.data.from_pandas(
-            pagerank_broadcast(edges_ds, iterations, damping, parts, round_dp)
+            pagerank_broadcast(edges_ds, iterations, damping, round_dp)
         )
-    return pagerank(edges_ds, iterations, damping, parts, round_dp)
+    return pagerank(edges_ds, iterations, damping, round_dp)
 
 
 def pagerank_numpy(
@@ -357,57 +334,24 @@ def connected_components(
     propagation: every node's label converges to the smallest node id in its
     component.  Returns ``(id, comp)``.
 
-    Vertex-state-broadcast shape (like ``pagerank_broadcast``): the label
-    vector is ``ray.put`` per sweep and each sweep is ONE map execution over
-    the edge blocks emitting per-batch (node, min-neighbor-label) partials;
-    iteration stops at the first sweep with no label change (diameter-bound,
-    not ``max_iterations``).  Valid while the node vector fits one process —
-    the natural regime for dedup clustering, where pair lists cover only the
-    duplicated minority of a corpus.  For full-corpus-scale graphs, the
-    exchanged-ranks shape of ``pagerank()`` applies identically."""
-    import ray
-
-    ends = pairs_ds.map_batches(
-        lambda b: pd.DataFrame(
-            {
-                "id": np.unique(
-                    np.concatenate(
-                        [b[col_a].to_numpy(np.int64), b[col_b].to_numpy(np.int64)]
-                    )
-                )
-            }
-        ),
-        batch_format="pandas",
-    ).to_pandas()
-    ids = np.unique(ends["id"].to_numpy(np.int64))
-    n = len(ids)
+    Vertex-state-broadcast shape: each sweep is one ``_scatter_sweep`` in
+    which every endpoint proposes its label to the other (min per batch,
+    then ``np.minimum.at``); iteration stops at the first sweep with no
+    label change (diameter-bound, not ``max_iterations``).  Valid while
+    the node vector fits one process — the natural regime for dedup
+    clustering, where pair lists cover only the duplicated minority of a
+    corpus."""
+    ids = _node_ids(pairs_ds, col_a, col_b)
     label = ids.copy()
     edges = pairs_ds.materialize()
 
+    def emit(b, s, d, lab):
+        return np.concatenate([s, d]), np.concatenate([lab[d], lab[s]])
+
     for _ in range(max_iterations):
-        ref = ray.put((ids, label))
-
-        def sweep(b: pd.DataFrame) -> pd.DataFrame:
-            sids, lab = ray.get(ref)
-            a = np.searchsorted(sids, b[col_a].to_numpy(np.int64))
-            bb = np.searchsorted(sids, b[col_b].to_numpy(np.int64))
-            # each endpoint proposes its label to the other
-            node = np.concatenate([a, bb])
-            prop = np.concatenate([lab[bb], lab[a]])
-            out = (
-                pd.DataFrame({"node": node, "lab": prop})
-                .groupby("node", sort=False)["lab"]
-                .min()
-                .reset_index()
-            )
-            return out
-
-        partials = edges.map_batches(sweep, batch_format="pandas").to_pandas()
-        new_label = label.copy()
-        if len(partials):
-            node = partials["node"].to_numpy(np.int64)
-            lab = partials["lab"].to_numpy(np.int64)
-            np.minimum.at(new_label, node, lab)
+        new_label = _scatter_sweep(
+            edges, col_a, col_b, ids, label, emit, "min", label.copy()
+        )
         if (new_label == label).all():
             break
         label = new_label
@@ -447,7 +391,6 @@ def triangle_count(
     edges_ds: "ray.data.Dataset",
     src_col: str = "src",
     dst_col: str = "dst",
-    parts: int = 32,
 ) -> "ray.data.Dataset":
     """Distributed triangle counting over an int64 edge list — the classic
     degree-ordered wedge join (Schank & Wagner 2005 / Suri & Vassilvitskii
@@ -455,186 +398,75 @@ def triangle_count(
     from its lower-(degree, id) endpoint to the higher one, generate wedges
     only from each node's ORIENTED out-neighborhood (bounded by O(sqrt(m))
     after orientation, so hub nodes cannot explode the pair stage), and
-    close them with one hash-partitioned join against the oriented edges.
+    close them with one join against the oriented edges.
 
     Each triangle is counted exactly once at generation and credited to all
     three corners.  Returns a Dataset ``(id, n_triangles)`` over nodes in
     >= 1 triangle; the graph total is ``sum(n_triangles) / 3``.
 
-    Exchanges (all bounded, nothing broadcast): canonical-dedup groupby,
-    degree combiner, two degree-attach partition joins, the wedge grouping,
-    the closing-edge join, and the final per-node count combiner."""
+    Exchanges (all bounded, nothing broadcast): the undirected-edge dedup,
+    the degree combiner, two degree joins, the wedge grouping (each
+    node's oriented neighbours are one ``_run_pairs`` run), the
+    closing-edge join on (x, y), and the per-node count combiner."""
+    P = GRAPH_PARTITIONS
+    ded = _undirected_edges(edges_ds, src_col, dst_col)
+    if ded.count() == 0:
+        return _empty("id", "n_triangles")
+    deg = _degrees(ded).materialize()
 
-    def canon(b: pd.DataFrame) -> pd.DataFrame:
-        a = b[src_col].to_numpy(np.int64)
-        c = b[dst_col].to_numpy(np.int64)
-        lo = np.minimum(a, c)
-        hi = np.maximum(a, c)
-        m = lo != hi  # drop self-loops
-        f = pd.DataFrame({"a": lo[m], "b": hi[m]}).drop_duplicates()
-        f["__p"] = ((f["a"].to_numpy() * np.int64(1000003)) ^ f["b"].to_numpy()) % parts
-        return f
+    def deg_a(b: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"id_a": b["id_a"], "id_b": b["id_b"], "deg_a": b["deg"]})
 
-    def dedup(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["a", "b"])[["a", "b"]]
-
-    ded = (
-        edges_ds.map_batches(canon, batch_format="pandas")
-        .groupby("__p")
-        .map_groups(dedup, batch_format="pandas")
+    with_da = (
+        hash_join(ded, deg, "id_a", "id", parts=P)
+        .map_batches(deg_a, batch_format="pandas")
         .materialize()
     )
 
-    def ends(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"id": np.concatenate([b["a"].to_numpy(np.int64), b["b"].to_numpy(np.int64)])}
-        )
-
-    deg = combiner_agg(
-        ded.map_batches(ends, batch_format="pandas"),
-        ["id"],
-        [("deg", None, "count")],
-        parts,
-    )
-
-    def _attach(key: str, out_col: str, edge_cols: list[str]):
-        """Tagged-union partition join: attach deg[node] onto edges keyed
-        by ``key`` (same shape as pagerank's degree attach).  ``edge_cols``
-        is the edge side's full column list — the degree side zero-fills
-        the rest so both union arms share one schema."""
-
-        def tag_e(b: pd.DataFrame) -> pd.DataFrame:
-            f = b[edge_cols].copy()
-            f["__deg"] = np.int64(0)
-            f["__side"] = np.int8(0)
-            f["__j"] = (b[key].to_numpy(np.int64)) % parts
-            return f
-
-        def tag_d(b: pd.DataFrame) -> pd.DataFrame:
-            f = pd.DataFrame({key: b["id"].to_numpy(np.int64)})
-            for c in edge_cols:
-                if c != key:
-                    f[c] = np.int64(0)
-            f = f[edge_cols]
-            f["__deg"] = b["deg"].to_numpy(np.int64)
-            f["__side"] = np.int8(1)
-            f["__j"] = f[key].to_numpy(np.int64) % parts
-            return f
-
-        def join(g: pd.DataFrame) -> pd.DataFrame:
-            d = g[g["__side"] == 1].set_index(key)["__deg"]
-            e = g[g["__side"] == 0].drop(columns=["__deg", "__side", "__j"])
-            if not len(e):
-                return e.assign(**{out_col: pd.Series(dtype="int64")})
-            e = e.copy()
-            e[out_col] = d.reindex(e[key]).fillna(0).to_numpy(np.int64)
-            return e
-
-        return tag_e, tag_d, join
-
-    te, td, j1 = _attach("a", "deg_a", ["a", "b"])
-    with_da = (
-        ded.map_batches(te, batch_format="pandas")
-        .union(deg.map_batches(td, batch_format="pandas"))
-        .groupby("__j")
-        .map_groups(j1, batch_format="pandas")
-    )
-    te2, td2, j2 = _attach("b", "deg_b", ["a", "b", "deg_a"])
-    with_deg = (
-        with_da.map_batches(te2, batch_format="pandas")
-        .union(deg.map_batches(td2, batch_format="pandas"))
-        .groupby("__j")
-        .map_groups(j2, batch_format="pandas")
-    )
-
     def orient(b: pd.DataFrame) -> pd.DataFrame:
-        if not len(b):
-            return pd.DataFrame(
-                {c: pd.Series(dtype="int64") for c in ("u", "v", "dv", "__w")}
-            )
-        a = b["a"].to_numpy(np.int64)
-        bb = b["b"].to_numpy(np.int64)
+        a = b["id_a"].to_numpy(np.int64)
+        bb = b["id_b"].to_numpy(np.int64)
         da = b["deg_a"].to_numpy(np.int64)
-        db = b["deg_b"].to_numpy(np.int64)
+        db = b["deg"].to_numpy(np.int64)
         swap = (db < da) | ((db == da) & (bb < a))
         u = np.where(swap, bb, a)
         v = np.where(swap, a, bb)
         dv = np.where(swap, da, db)
-        return pd.DataFrame({"u": u, "v": v, "dv": dv, "__w": u % parts})
+        return pd.DataFrame({"u": u, "v": v, "dv": dv, "__w": u % P})
 
-    oriented = with_deg.map_batches(orient, batch_format="pandas").materialize()
-
-    def wedges(g: pd.DataFrame) -> pd.DataFrame:
-        xs, ys, us = [], [], []
-        for u, grp in g.groupby("u", sort=False):
-            if len(grp) < 2:
-                continue
-            nb = grp.sort_values(["dv", "v"], kind="mergesort")["v"].to_numpy(np.int64)
-            # all ordered pairs of the oriented out-neighborhood
-            i, j = np.triu_indices(len(nb), k=1)
-            xs.append(nb[i])
-            ys.append(nb[j])
-            us.append(np.full(len(i), u, dtype=np.int64))
-        if not xs:
-            return pd.DataFrame(
-                {c: pd.Series(dtype="int64") for c in ("x", "y", "u")}
-            )
-        return pd.DataFrame(
-            {
-                "x": np.concatenate(xs),
-                "y": np.concatenate(ys),
-                "u": np.concatenate(us),
-            }
-        )
-
-    wedge_ds = oriented.groupby("__w").map_groups(wedges, batch_format="pandas")
-
-    def tag_w(b: pd.DataFrame) -> pd.DataFrame:
-        f = b.copy()
-        f["__side"] = np.int8(0)
-        f["__j"] = ((f["x"].to_numpy() * np.int64(1000003)) ^ f["y"].to_numpy()) % parts
-        return f
-
-    def tag_edge(b: pd.DataFrame) -> pd.DataFrame:
-        f = pd.DataFrame(
-            {
-                "x": b["u"].to_numpy(np.int64),
-                "y": b["v"].to_numpy(np.int64),
-                "u": np.full(len(b), -1, dtype=np.int64),
-            }
-        )
-        f["__side"] = np.int8(1)
-        f["__j"] = ((f["x"].to_numpy() * np.int64(1000003)) ^ f["y"].to_numpy()) % parts
-        return f
-
-    def close(g: pd.DataFrame) -> pd.DataFrame:
-        e = g[g["__side"] == 1]
-        w = g[g["__side"] == 0]
-        if not len(e) or not len(w):
-            return pd.DataFrame({"id": pd.Series(dtype="int64")})
-        hit = w.merge(e[["x", "y"]].drop_duplicates(), on=["x", "y"], how="inner")
-        if not len(hit):
-            return pd.DataFrame({"id": pd.Series(dtype="int64")})
-        return pd.DataFrame(
-            {
-                "id": np.concatenate(
-                    [
-                        hit["u"].to_numpy(np.int64),
-                        hit["x"].to_numpy(np.int64),
-                        hit["y"].to_numpy(np.int64),
-                    ]
-                )
-            }
-        )
-
-    corners = (
-        wedge_ds.map_batches(tag_w, batch_format="pandas")
-        .union(oriented.map_batches(tag_edge, batch_format="pandas"))
-        .groupby("__j")
-        .map_groups(close, batch_format="pandas")
+    oriented = (
+        hash_join(with_da, deg, "id_b", "id", parts=P)
+        .map_batches(orient, batch_format="pandas")
+        .materialize()
     )
 
-    return combiner_agg(corners, ["id"], [("n_triangles", None, "count")], parts)
+    def wedges(g: pd.DataFrame) -> pd.DataFrame:
+        # every ordered pair of u's oriented out-neighbours: the rank of
+        # (dv, v) is the pair id, so x precedes y in (degree, id) order
+        u = g["u"].to_numpy(np.int64)
+        v = g["v"].to_numpy(np.int64)
+        rank = np.empty(len(g), dtype=np.int64)
+        rank[np.lexsort((v, g["dv"].to_numpy(np.int64)))] = np.arange(len(g))
+        i, j = _run_pairs(u, rank)
+        return pd.DataFrame({"x": v[i], "y": v[j], "u": u[i]})
+
+    wedge_ds = oriented.groupby("__w").map_groups(wedges, batch_format="pandas").materialize()
+    closing = oriented.map_batches(
+        lambda b: pd.DataFrame({"x": b["u"], "y": b["v"]}), batch_format="pandas"
+    )
+
+    def corners(b: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
+            {"id": np.concatenate([b[c].to_numpy(np.int64) for c in ("u", "x", "y")])}
+        )
+
+    closed = hash_join(wedge_ds, closing, ["x", "y"], parts=P)
+    return combiner_agg(
+        closed.map_batches(corners, batch_format="pandas"),
+        ["id"],
+        [("n_triangles", None, "count")],
+        P,
+    )
 
 
 def triangles_bruteforce(edges: "pd.DataFrame", a_col: str = "a", b_col: str = "b"):
@@ -672,7 +504,6 @@ def kcore(
     k: int,
     src_col: str = "src",
     dst_col: str = "dst",
-    parts: int = 32,
     max_rounds: int = 100,
 ) -> "ray.data.Dataset":
     """The k-core of an undirected graph (Seidman 1983): the maximal
@@ -682,107 +513,36 @@ def kcore(
     link-graph pipeline runs to separate tightly-knit host communities
     (link farms / genuine hubs) from the long tail.
 
-    Scale shape per round: one degree combiner + one two-sided semi-join
-    that keeps edges whose BOTH endpoints survive (tagged-union partition
-    join keyed by each endpoint in turn) — bounded exchanges carrying
-    (id, deg) rows and the shrinking edge list; nothing broadcast, no
-    driver-side graph.  Convergence is detected by the surviving-edge
-    count (a cheap Dataset.count of the materialized round result).
+    Scale shape per round: one degree combiner + two inner joins of the
+    edges with the distinct survivor ids (one per endpoint) — bounded
+    exchanges carrying (id, deg) rows and the shrinking edge list;
+    nothing broadcast, no driver-side graph.  Convergence is detected by
+    the surviving-edge count (free on the materialized round result).
 
     Returns a Dataset ``(id, deg)`` — the k-core members with their
     core-subgraph degrees (empty if the graph has no k-core)."""
-
-    def canon(b: pd.DataFrame) -> pd.DataFrame:
-        a = b[src_col].to_numpy(np.int64)
-        c = b[dst_col].to_numpy(np.int64)
-        lo = np.minimum(a, c)
-        hi = np.maximum(a, c)
-        m = lo != hi
-        f = pd.DataFrame({"a": lo[m], "b": hi[m]}).drop_duplicates()
-        f["__p"] = ((f["a"].to_numpy() * np.int64(1000003)) ^ f["b"].to_numpy()) % parts
-        return f
-
-    def dedup(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["a", "b"])[["a", "b"]]
-
-    edges = (
-        edges_ds.map_batches(canon, batch_format="pandas")
-        .groupby("__p")
-        .map_groups(dedup, batch_format="pandas")
-        .materialize()
-    )
+    P = GRAPH_PARTITIONS
+    edges = _undirected_edges(edges_ds, src_col, dst_col)
     n_edges = edges.count()
 
-    def ends(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"id": np.concatenate([b["a"].to_numpy(np.int64), b["b"].to_numpy(np.int64)])}
-        )
-
-    def degrees(e):
-        return combiner_agg(
-            e.map_batches(ends, batch_format="pandas"),
-            ["id"],
-            [("deg", None, "count")],
-            parts,
-        )
-
-    def _semi(key: str):
-        """Keep edges whose ``key`` endpoint appears in the survivor set
-        (tagged-union partition join, same pattern as the degree attach)."""
-
-        def tag_e(b: pd.DataFrame) -> pd.DataFrame:
-            f = b[["a", "b"]].copy()
-            f["__side"] = np.int8(0)
-            f["__j"] = b[key].to_numpy(np.int64) % parts
-            return f
-
-        def tag_s(b: pd.DataFrame) -> pd.DataFrame:
-            f = pd.DataFrame({"a": b["id"].to_numpy(np.int64)})
-            f["b"] = np.int64(0)
-            if key == "b":
-                f["b"] = f["a"]
-                f["a"] = np.int64(0)
-            f["__side"] = np.int8(1)
-            f["__j"] = f[key].to_numpy(np.int64) % parts
-            return f
-
-        def join(g: pd.DataFrame) -> pd.DataFrame:
-            alive = set(g.loc[g["__side"] == 1, key].to_numpy(np.int64))
-            e = g[g["__side"] == 0]
-            if not len(e):
-                return pd.DataFrame(
-                    {"a": pd.Series(dtype="int64"), "b": pd.Series(dtype="int64")}
-                )
-            m = e[key].isin(alive).to_numpy()
-            return e.loc[m, ["a", "b"]]
-
-        return tag_e, tag_s, join
-
-    for _ in range(max_rounds):
-        deg = degrees(edges)
-        survivors = deg.filter(expr=f"deg >= {int(k)}").materialize()
-
-        te, ts, ja = _semi("a")
-        kept_a = (
-            edges.map_batches(te, batch_format="pandas")
-            .union(survivors.map_batches(ts, batch_format="pandas"))
-            .groupby("__j")
-            .map_groups(ja, batch_format="pandas")
-        )
-        te2, ts2, jb = _semi("b")
-        edges_next = (
-            kept_a.map_batches(te2, batch_format="pandas")
-            .union(survivors.map_batches(ts2, batch_format="pandas"))
-            .groupby("__j")
-            .map_groups(jb, batch_format="pandas")
+    def keep_alive(e: "ray.data.Dataset", alive, key: str) -> "ray.data.Dataset":
+        return (
+            hash_join(e, alive, key, "id", parts=P)
+            .select_columns(["id_a", "id_b"])
             .materialize()
         )
+
+    for _ in range(max_rounds):
+        survivors = (
+            _degrees(edges).filter(expr=f"deg >= {int(k)}").select_columns(["id"])
+        ).materialize()
+        edges_next = keep_alive(keep_alive(edges, survivors, "id_a"), survivors, "id_b")
         # per-round union+groupby fragments blocks, and each round's output
         # feeds the next round's union, so block counts COMPOUND (the same
         # driver-scheduling collapse bfs_distance hit — see its guard);
         # coalesce whenever fragmentation outruns the partition count
-        if edges_next.num_blocks() > 2 * parts:
-            edges_next = edges_next.repartition(parts).materialize()
+        if edges_next.num_blocks() > 2 * P:
+            edges_next = edges_next.repartition(P).materialize()
         n_next = edges_next.count()
         if n_next == n_edges:
             edges = edges_next
@@ -792,12 +552,8 @@ def kcore(
             break
 
     if n_edges == 0:
-        import pyarrow as pa
-
-        return ray.data.from_arrow(
-            pa.table({"id": pa.array([], pa.int64()), "deg": pa.array([], pa.int64())})
-        )
-    return degrees(edges).filter(expr=f"deg >= {int(k)}")
+        return _empty("id", "deg")
+    return _degrees(edges).filter(expr=f"deg >= {int(k)}")
 
 
 def kcore_bruteforce(edges: "pd.DataFrame", k: int, a_col: str = "a", b_col: str = "b"):
@@ -832,129 +588,68 @@ def bfs_distance(
     col_b: str = "id_b",
     directed: bool = False,
     max_rounds: int = 64,
-    parts: int = 64,
 ) -> "ray.data.Dataset":
     """Multi-source BFS: hop distance from the nearest seed, for every
     reachable node.  The crawl-depth / link-proximity primitive (how far
     is each host from the seed list).
 
     Fully-exchanged shape (the 10^10-node-safe one, unlike the
-    vertex-broadcast sweeps of ``connected_components``): edges are
-    key-hash partitioned by source ONCE; the distance state lives as a
-    node-partitioned Dataset the driver never collects.  Each round the
-    frontier (state rows flagged new last round — never the whole state)
-    is exchanged into the edge partitions and expanded to neighbor
-    proposals with one vectorized isin per partition; proposals then
-    min-merge into the state partitions (state wins: an already-reached
-    node always has a smaller dist).  The driver sees only the per-round
-    new-node COUNT; rounds = graph diameter (small-world web graphs:
-    <= ~10).  Returns the (id, dist) Dataset."""
-    import ray.data
+    vertex-broadcast sweeps of ``connected_components``): the distance
+    state is an (id, dist) Dataset the driver never collects.  Round r
+    joins the frontier (the state rows with ``dist == r - 1``) onto the
+    edges by src, proposes ``dist = r`` for every neighbour, and folds
+    the proposals into the state with one grouped min (an already-reached
+    node keeps its smaller dist).  The loop stops at the first round
+    that reaches no new node (the state's row count, free on the
+    materialized state, did not grow); rounds = graph diameter
+    (small-world web graphs: <= ~10).  Returns the (id, dist) Dataset."""
+    P = GRAPH_PARTITIONS
 
-    def tag_edges(b: pd.DataFrame) -> pd.DataFrame:
+    def edge_rows(b: pd.DataFrame) -> pd.DataFrame:
         src = b[col_a].to_numpy(np.int64)
         dst = b[col_b].to_numpy(np.int64)
         if not directed:
             src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-        f = pd.DataFrame({"src": src, "dst": dst}).drop_duplicates()
-        f["__ep"] = (
-            pd.util.hash_array(f["src"].to_numpy()) % np.uint64(parts)
-        ).astype(np.int64)
-        # explicit edge/frontier marker for the per-round union (an in-band
-        # dst sentinel would misread a genuine node id equal to it — node
-        # ids here are signed md5-derived int64s, so every value is legal)
-        f["__fr"] = np.int64(0)
-        return f
+        return pd.DataFrame({"src": src, "dst": dst}).drop_duplicates()
 
-    edges = pairs_ds.map_batches(tag_edges, batch_format="pandas").materialize()
-
-    sp = lambda ids: (pd.util.hash_array(ids) % np.uint64(parts)).astype(np.int64)
+    # every round's frontier join reads the edge list again, one task per
+    # block: coalesce it once to the join's partition count
+    edges = (
+        pairs_ds.map_batches(edge_rows, batch_format="pandas").repartition(P).materialize()
+    )
     seeds = np.unique(np.asarray(seed_ids, dtype=np.int64))
     state = ray.data.from_pandas(
-        pd.DataFrame(
-            {
-                "id": seeds,
-                "dist": np.int64(0),
-                "__new": np.int64(1),
-                "__sp": sp(seeds),
-            }
-        )
+        pd.DataFrame({"id": seeds, "dist": np.zeros(len(seeds), dtype=np.int64)})
     ).materialize()
+    frontier, n_reached = state, len(seeds)
 
     for r in range(1, max_rounds + 1):
 
-        def front_rows(b: pd.DataFrame) -> pd.DataFrame:
-            f = b[b["__new"] == 1]
-            ids = f["id"].to_numpy(np.int64)
+        def propose(b: pd.DataFrame) -> pd.DataFrame:
             return pd.DataFrame(
-                {
-                    "src": ids,
-                    "dst": np.int64(0),  # unused for frontier rows
-                    "__ep": (
-                        pd.util.hash_array(ids) % np.uint64(parts)
-                    ).astype(np.int64),
-                    "__fr": np.int64(1),
-                }
+                {"id": b["dst"].to_numpy(np.int64), "dist": np.full(len(b), r, np.int64)}
             )
 
-        fds = state.map_batches(front_rows, batch_format="pandas")
-
-        def expand(g: pd.DataFrame) -> pd.DataFrame:
-            is_fr = g["__fr"].to_numpy(np.int64) == 1
-            fr = g[is_fr]["src"].to_numpy(np.int64)
-            eg = g[~is_fr]
-            hit = (
-                eg[np.isin(eg["src"].to_numpy(np.int64), fr)]["dst"]
-                .drop_duplicates()
-                .to_numpy(np.int64)
-            )
-            return pd.DataFrame(
-                {
-                    "id": hit,
-                    "dist": np.int64(r),
-                    "__new": np.int64(1),
-                    "__sp": (
-                        pd.util.hash_array(hit) % np.uint64(parts)
-                    ).astype(np.int64),
-                }
-            )
-
-        props = edges.union(fds).groupby("__ep").map_groups(
-            expand, batch_format="pandas"
+        props = hash_join(edges, frontier, "src", "id", parts=P).map_batches(
+            propose, batch_format="pandas"
         )
-
-        def clear_new(b: pd.DataFrame) -> pd.DataFrame:
-            b = b.copy()
-            b["__new"] = np.int64(0)
-            return b
-
-        def merge(g: pd.DataFrame) -> pd.DataFrame:
-            # state rows carry __new == 0 after clear; proposals == 1.
-            # sort puts the state row (smaller dist, BFS invariant) first;
-            # first-wins keeps it and drops duplicate proposals
-            f = g.sort_values(["id", "__new"], kind="mergesort")
-            return f.drop_duplicates("id")
-
-        state = (
-            state.map_batches(clear_new, batch_format="pandas")
-            .union(props)
-            .groupby("__sp")
-            .map_groups(merge, batch_format="pandas")
-            .materialize()
-        )
-        # the per-round union+sort fragments blocks (each round's output
-        # feeds the next union, so block counts COMPOUND — measured: 2k+
-        # 41-row blocks by round ~10 on a 50k-node graph, driver
-        # scheduling collapse); coalesce before the count grows
-        if state.num_blocks() > 2 * parts:
-            state = state.repartition(parts).materialize()
-        n_new = int(state.sum("__new") or 0)
-        if n_new == 0:
+        state = combiner_agg(
+            state.union(props), ["id"], [("dist", "dist", "min")], P
+        ).materialize()
+        # the per-round union+exchange fragments blocks (each round's
+        # output feeds the next union, so block counts COMPOUND —
+        # measured: 2k+ 41-row blocks by round ~10 on a 50k-node graph,
+        # driver scheduling collapse); coalesce before the count grows
+        if state.num_blocks() > 2 * P:
+            state = state.repartition(P).materialize()
+        # the state grows exactly by the nodes first reached this round:
+        # those rows (dist == r) are the next frontier
+        n = state.count()
+        if n == n_reached:
             break
+        frontier, n_reached = state.filter(expr=f"dist == {r}"), n
 
-    return state.map_batches(
-        lambda b: b[["id", "dist"]], batch_format="pandas"
-    )
+    return state
 
 
 def bfs_numpy(
@@ -1007,62 +702,30 @@ def hits(
     separator PageRank can't express (a page can be a great hub and a
     terrible authority at once).
 
-    Vertex-state-broadcast shape like ``connected_components`` (the
-    needed score vector ``ray.put`` per half-sweep; each half-sweep is
-    ONE map over the edge blocks emitting per-batch partial sums) —
-    valid while the node vectors fit one process (~10^8); beyond that
-    the exchanged-ranks shape of ``pagerank()`` applies identically.
-    Fixed iteration count for cross-run determinism; multi-edges count
-    with multiplicity (both here and in the dense oracle)."""
-    import ray
-
-    ends = pairs_ds.map_batches(
-        lambda b: pd.DataFrame(
-            {
-                "id": np.unique(
-                    np.concatenate(
-                        [b[col_a].to_numpy(np.int64), b[col_b].to_numpy(np.int64)]
-                    )
-                )
-            }
-        ),
-        batch_format="pandas",
-    ).to_pandas()
-    ids = np.unique(ends["id"].to_numpy(np.int64))
+    Vertex-state-broadcast shape: each half-sweep is one
+    ``_scatter_sweep`` of the needed score vector — valid while the node
+    vectors fit one process (~10^8).  Fixed iteration count for cross-run
+    determinism; multi-edges count with multiplicity (both here and in
+    the dense oracle)."""
+    ids = _node_ids(pairs_ds, col_a, col_b)
     n = len(ids)
     hub = np.ones(n)
     auth = np.ones(n)
     edges = pairs_ds.materialize()
 
-    def half_sweep(vec: np.ndarray, out_end: str) -> np.ndarray:
-        """One A^T·vec (out_end='dst': auth from hubs) or A·vec
-        (out_end='src': hub from auths) as per-batch partial sums."""
-        ref = ray.put((ids, vec))
-        gather_src = out_end == "dst"
+    def to_dst(b, s, d, v):  # A^T·v: auth from hubs
+        return d, v[s]
 
-        def sweep(b: pd.DataFrame) -> pd.DataFrame:
-            sids, v = ray.get(ref)
-            s = np.searchsorted(sids, b[col_a].to_numpy(np.int64))
-            d = np.searchsorted(sids, b[col_b].to_numpy(np.int64))
-            node, val = (d, v[s]) if gather_src else (s, v[d])
-            part = (
-                pd.DataFrame({"node": node, "v": val})
-                .groupby("node", sort=False)["v"]
-                .sum()
-            )
-            return pd.DataFrame({"node": part.index, "v": part.to_numpy()})
+    def to_src(b, s, d, v):  # A·v: hub from auths
+        return s, v[d]
 
-        partials = edges.map_batches(sweep, batch_format="pandas").to_pandas()
-        out = np.zeros(n)
-        if len(partials):
-            np.add.at(
-                out, partials["node"].to_numpy(np.int64), partials["v"].to_numpy()
-            )
+    def half_sweep(vec: np.ndarray, emit) -> np.ndarray:
+        out = _scatter_sweep(edges, col_a, col_b, ids, vec, emit, "sum", np.zeros(n))
         return out / (np.linalg.norm(out) or 1.0)
 
     for _ in range(n_iter):
-        auth = half_sweep(hub, "dst")
-        hub = half_sweep(auth, "src")
+        auth = half_sweep(hub, to_dst)
+        hub = half_sweep(auth, to_src)
 
     return pd.DataFrame(
         {

@@ -1,19 +1,25 @@
-"""General distributed hash join — the reusable big-x-big equi-join the
-per-query pipelines otherwise hand-roll (broadcast joins stay the right
-call for SMALL sides; this is for two datasets that both exceed worker
-memory).
+"""Distributed equi-joins.  ``hash_join`` is the package's partitioned
+equi-join, on one key column or a list of them: the graph operators'
+degree, rank, frontier and wedge-closing joins, the curation and profile
+semi/anti-joins and the per-query pipelines call it (``dedup``'s salted
+signature attach and ``line_dedup``'s rebuild keep their own exchange
+shapes).  Broadcast joins stay the right call for SMALL sides
+(``auto_join`` picks); ``hash_join`` is for two datasets that may both
+exceed worker memory.
 
-Plan (the tagged-union partition join, same exchange shape as
-``dedup._attach_sig``): each side tags its rows, both union into ONE
+Plan (the tagged-union partition join): each side tags its rows with the
+hash of its canonicalized key columns, both sides are aligned to one
+exchange schema (no int64 value is widened on the way), union into ONE
 key-hash partitioned groupby, and each partition runs a vectorized pandas
 merge on its slice.  Every row moves exactly once; there is no driver
-materialization and no secondary shuffle.
+materialization and no secondary shuffle.  Each side's dtypes are read
+from its first non-empty batch: materialize a side that ends in an
+exchange first, or it executes twice.
 
-Skew note: a single hot key lands in one partition — pre-salt hot keys
-(``windows.salted_sum`` pattern) or broadcast the dimension side when it
-fits.  Partitioning assumption (documented like every partition-key op
-here): one partition's rows fit in a worker; raise ``parts`` to shrink
-partitions.
+Skew note: a single hot key lands in one partition — ``salted_hash_join``
+spreads it, or broadcast the dimension side when it fits.  Partitioning
+assumption (documented like every partition-key op here): one
+partition's rows fit in a worker; raise ``parts`` to shrink partitions.
 """
 
 from __future__ import annotations
@@ -25,15 +31,14 @@ import ray.data
 
 
 def _np_dtype(t) -> np.dtype:
-    """Schema type (pyarrow DataType or numpy dtype) -> numpy dtype."""
+    """Schema type (pyarrow DataType, numpy or pandas dtype) -> numpy
+    dtype; object when none fits."""
     import pyarrow as pa
 
-    if isinstance(t, pa.DataType):
-        try:
-            return np.dtype(t.to_pandas_dtype())
-        except Exception:
-            return np.dtype(object)
-    return np.dtype(t)
+    try:
+        return np.dtype(t.to_pandas_dtype() if isinstance(t, pa.DataType) else t)
+    except (TypeError, NotImplementedError):
+        return np.dtype(object)
 
 
 def _cat(dt: np.dtype) -> str:
@@ -49,44 +54,47 @@ def _cat(dt: np.dtype) -> str:
 
 
 def _side_dtypes(ds: "ray.data.Dataset") -> dict[str, np.dtype]:
-    sch = ds.schema()
-    return {n: _np_dtype(t) for n, t in zip(sch.names, sch.types)}
+    """Column -> dtype of one join side, read from its first non-empty
+    batch (a ``limit(1)`` execution).  ``Dataset.schema()`` is not used
+    while the side has rows: Ray Data passes an empty block through
+    ``map_batches`` and ``select_columns`` unchanged, so a side whose
+    first block is an empty exchange output reports that block's stale
+    columns."""
+    try:
+        first = ds.take_batch(1, batch_format="pandas")
+    except ValueError:  # no rows
+        sch = ds.schema()
+        return {} if sch is None else {n: _np_dtype(t) for n, t in zip(sch.names, sch.types)}
+    return {c: _np_dtype(t) for c, t in first.dtypes.items()}
+
+
+# exchange (dtype, fill) of a column one side lacks, per dtype category
+_EXCHANGE = {"int": ("int64", 0), "bool": ("bool", False), "float": ("float64", np.nan)}
 
 
 def _exchange_plan(ldt: dict, rdt: dict):
     """One exchange schema both sides can emit, so the tagged union is
     schema-stable (mixed-schema bundles draw Ray's 'different schema'
-    warning and would be illegal as Arrow blocks).  Per column:
-    on BOTH sides -> the common dtype (int64/bool/float64; other
-    categories trusted equal, object if the categories disagree); on ONE
-    side -> a null-able exchange dtype (ints/floats ride as float64 —
-    exactly what the pandas concat inside the partition groupby did
-    before this alignment, see join_part's restore; bools/objects as
-    object; datetimes keep their unit, missing side fills NaT)."""
+    warning and would be illegal as Arrow blocks).  Per column: the dtype
+    both sides cast to (None keeps it: datetimes and other categories are
+    trusted equal; object if the two sides' categories disagree), and the
+    value the side WITHOUT the column fills in.  Ints, bools and floats
+    keep their own dtype (0 / False / NaN fill), so no int64 value is
+    widened to float64 on the way; join_part reads each side's own
+    columns only, so a fill value is never read back."""
     all_cols = list(ldt) + [c for c in rdt if c not in ldt]
-    plan: dict[str, tuple[str, object]] = {}
+    plan: dict[str, tuple[object, object]] = {}
     for c in all_cols:
-        if c in ldt and c in rdt:
-            cl, cr = _cat(ldt[c]), _cat(rdt[c])
-            if cl != cr:
-                plan[c] = ("cast", object)
-            elif cl == "int":
-                plan[c] = ("cast", "int64")
-            elif cl == "bool":
-                plan[c] = ("cast", "bool")
-            elif cl == "float":
-                plan[c] = ("cast", "float64")
-            else:  # datetime/other: same category, trust equal dtypes
-                plan[c] = ("keep", None)
+        cats = {_cat(d[c]) for d in (ldt, rdt) if c in d}
+        cat = cats.pop() if len(cats) == 1 else "mixed"
+        if cat in _EXCHANGE:
+            plan[c] = _EXCHANGE[cat]
+        elif cat == "datetime":
+            plan[c] = (None, ldt.get(c, rdt.get(c)))
+        elif cat == "other" and c in ldt and c in rdt:
+            plan[c] = (None, None)
         else:
-            dt = ldt.get(c, rdt.get(c))
-            cat = _cat(dt)
-            if cat in ("int", "float"):
-                plan[c] = ("null_float", None)
-            elif cat == "datetime":
-                plan[c] = ("null_dt", dt)
-            else:
-                plan[c] = ("null_obj", None)
+            plan[c] = (object, None)
     return all_cols, plan
 
 
@@ -106,70 +114,75 @@ def _align_batch(
     b: pd.DataFrame, have: frozenset, all_cols: list, plan: dict
 ) -> pd.DataFrame:
     for c in all_cols:
-        mode, arg = plan[c]
+        dtype, fill = plan[c]
         if c in have:
-            if mode == "cast":
-                b[c] = b[c].astype(arg)
-            elif mode == "null_float":
-                b[c] = b[c].astype("float64")
-            elif mode == "null_obj":
-                b[c] = b[c].astype(object)
-            # keep / null_dt (owning side): leave untouched
+            if dtype is not None:
+                b[c] = b[c].astype(dtype)
+        elif isinstance(fill, np.dtype):  # datetime: typed NaT
+            b[c] = pd.Series(pd.NaT, index=b.index, dtype=fill)
+        elif fill is None:
+            b[c] = pd.Series(np.nan, index=b.index, dtype=object)
         else:
-            if mode == "null_dt":
-                b[c] = pd.Series(pd.NaT, index=b.index, dtype=arg)
-            elif mode == "null_obj" or mode == "cast" and arg is object:
-                b[c] = pd.Series(np.nan, index=b.index, dtype=object)
-            else:
-                b[c] = np.float64(np.nan)
+            b[c] = fill
     return b
+
+
+def _keys(key: str | list[str]) -> list[str]:
+    return [key] if isinstance(key, str) else list(key)
+
+
+def _key_hash(b: pd.DataFrame, keys: list[str]) -> np.ndarray:
+    """uint64 hash of a batch's key columns, each canonicalized first, so
+    equal key values hash equally on both sides."""
+    h = pd.util.hash_array(_canon_key(b[keys[0]].to_numpy()))
+    for k in keys[1:]:
+        h = h * np.uint64(0x100000001B3) + pd.util.hash_array(
+            _canon_key(b[k].to_numpy())
+        )
+    return h
+
+
+def _int_casts(dt: dict) -> dict[str, str]:
+    """int64/bool restore casts of one side's int and bool columns."""
+    return {
+        n: ("int64" if _cat(t) == "int" else "bool")
+        for n, t in dt.items() if _cat(t) in ("int", "bool")
+    }
 
 
 def hash_join(
     left: "ray.data.Dataset",
     right: "ray.data.Dataset",
-    left_key: str,
-    right_key: str | None = None,
+    left_key: str | list[str],
+    right_key: str | list[str] | None = None,
     how: str = "inner",
     parts: int = 64,
     suffixes: tuple[str, str] = ("", "_r"),
 ) -> "ray.data.Dataset":
-    """Equi-join two Datasets on a key column.  ``how`` is 'inner',
-    'left' or 'outer' (pandas semantics inside each partition — globally
-    correct because key columns are hash-partitioned identically on both
-    sides, so each partition holds every row of its keys from BOTH
-    inputs; an unmatched key's rows still reach their partition and
-    survive a left/outer merge there).  NaN-widening of int columns on
-    the unmatched side is the caller's to coalesce."""
-    right_key = right_key or left_key
+    """Equi-join two Datasets on one key column or a list of them.
+    ``how`` is 'inner', 'left' or 'outer' (pandas semantics inside each
+    partition — globally correct because key columns are hash-partitioned
+    identically on both sides, so each partition holds every row of its
+    keys from BOTH inputs; an unmatched key's rows still reach their
+    partition and survive a left/outer merge there).  NaN-widening of int
+    columns on the unmatched side is the caller's to coalesce.  Each
+    side's columns and dtypes come from its first non-empty batch, a
+    ``limit(1)`` execution (``_side_dtypes``), so a side that ends in an
+    exchange executes twice unless the caller materializes it first."""
+    lkeys = _keys(left_key)
+    rkeys = _keys(right_key) if right_key is not None else lkeys
     # column lists + integer/bool dtypes recorded BEFORE the union; both
-    # sides are aligned to ONE exchange schema (one-side-only int columns
-    # ride as float64 — the same widening the partition concat always did —
-    # and are restored per partition below), so every bundle the union
+    # sides are aligned to ONE exchange schema, so every bundle the union
     # emits has the same schema
     ldt, rdt = _side_dtypes(left), _side_dtypes(right)
     lcols, rcols = list(ldt), list(rdt)
-    lcasts = {
-        n: ("int64" if _cat(t) == "int" else "bool")
-        for n, t in ldt.items() if _cat(t) in ("int", "bool")
-    }
-    rcasts = {
-        n: ("int64" if _cat(t) == "int" else "bool")
-        for n, t in rdt.items() if _cat(t) in ("int", "bool")
-    }
+    lcasts, rcasts = _int_casts(ldt), _int_casts(rdt)
     all_cols, plan = _exchange_plan(ldt, rdt)
     out_cols = all_cols + ["__side", "__jp"]
 
-    def tag(side: int, key: str, have: frozenset):
+    def tag(side: int, keys: list[str], have: frozenset):
         def fn(b: pd.DataFrame) -> pd.DataFrame:
-            # hash the key BEFORE dtype alignment, canonicalized, so equal
-            # key values land in the same partition even when one side's
-            # key column rides the exchange widened (int64 and float64
-            # hash differently under hash_array)
-            jp = (
-                pd.util.hash_array(_canon_key(b[key].to_numpy()))
-                % np.uint64(parts)
-            ).astype(np.int64)
+            jp = (_key_hash(b, keys) % np.uint64(parts)).astype(np.int64)
             b = _align_batch(b.copy(), have, all_cols, plan)
             b["__side"] = np.int64(side)
             b["__jp"] = jp
@@ -177,8 +190,8 @@ def hash_join(
 
         return fn
 
-    lt = left.map_batches(tag(0, left_key, frozenset(lcols)), batch_format="pandas")
-    rt = right.map_batches(tag(1, right_key, frozenset(rcols)), batch_format="pandas")
+    lt = left.map_batches(tag(0, lkeys, frozenset(lcols)), batch_format="pandas")
+    rt = right.map_batches(tag(1, rkeys, frozenset(rcols)), batch_format="pandas")
 
     # post-merge dtype stabilization: a left/outer partition WITH unmatched
     # rows NaN-widens the nullable side's int->float64 / bool->object while
@@ -186,30 +199,22 @@ def hash_join(
     # divergence that both warns and feeds mixed blocks downstream.  Cast
     # the nullable side(s) unconditionally so every partition emits one
     # schema (a shared-name equi-key is never NaN and is excluded).
-    overlap = (set(lcols) & set(rcols)) - (
-        {left_key} if left_key == right_key else set()
-    )
+    shared = {lk for lk, rk in zip(lkeys, rkeys) if lk == rk}
+    overlap = (set(lcols) & set(rcols)) - shared
     nullable_sides = {"inner": (), "left": (1,), "outer": (0, 1)}.get(how, ())
     stab_casts: dict[str, str] = {}
     for side, cols_casts in ((0, lcasts), (1, rcasts)):
         if side in nullable_sides:
             for c, t in cols_casts.items():
-                if left_key == right_key and c == left_key:
-                    continue
-                name = c + suffixes[side] if c in overlap else c
-                stab_casts[name] = "float64" if t == "int64" else "object"
+                if c not in shared:
+                    name = c + suffixes[side] if c in overlap else c
+                    stab_casts[name] = "float64" if t == "int64" else "object"
 
     def join_part(g: pd.DataFrame) -> pd.DataFrame:
-        # reindex, not select: a partition holding rows from only one side
-        # never saw the other side's columns in its concatenated blocks
-        lg = g[g["__side"] == 0].reindex(columns=lcols).astype(lcasts)
-        rg = g[g["__side"] == 1].reindex(columns=rcols).astype(rcasts)
+        lg = g[g["__side"] == 0][lcols].astype(lcasts)
+        rg = g[g["__side"] == 1][rcols].astype(rcasts)
         merged = lg.merge(
-            rg,
-            left_on=left_key,
-            right_on=right_key,
-            how=how,
-            suffixes=suffixes,
+            rg, left_on=lkeys, right_on=rkeys, how=how, suffixes=suffixes
         )
         if stab_casts:
             merged = merged.astype(
@@ -245,14 +250,7 @@ def salted_hash_join(
     right_key = right_key or left_key
     ldt, rdt = _side_dtypes(left), _side_dtypes(right)
     lcols, rcols = list(ldt), list(rdt)
-    lcasts = {
-        n: ("int64" if _cat(t) == "int" else "bool")
-        for n, t in ldt.items() if _cat(t) in ("int", "bool")
-    }
-    rcasts = {
-        n: ("int64" if _cat(t) == "int" else "bool")
-        for n, t in rdt.items() if _cat(t) in ("int", "bool")
-    }
+    lcasts, rcasts = _int_casts(ldt), _int_casts(rdt)
     all_cols, plan = _exchange_plan(ldt, rdt)
     out_cols = all_cols + ["__salt", "__side", "__jp"]
     hot = set(hot_keys)

@@ -167,11 +167,9 @@ def expectation_checks(sf_reader) -> pd.DataFrame:
 
     Checks and their scale shapes:
     * ``fk_orders_customer`` / ``fk_lineitem_orders`` — referential
-      integrity by Bloom-prefiltered anti-join: the PK side's mergeable
-      bitmap broadcasts once; only bloom-POSITIVE-free (i.e. definitely
-      absent) rows are violations after the exact partition verify.  Here
-      the PK sides are combiner-deduplicated and the probe is the same
-      md5-bucket partition semi-join used everywhere else.
+      integrity by anti-join: the PK side is combiner-deduplicated, the
+      child keys left-join onto it (``join.hash_join``) and every
+      unmatched child row is a violation.
     * ``pk_unique_orders`` — duplicate primary keys via partition groupby
       (count>1 sums, combiner partials).
     * ``nonneg_events_value`` / ``null_events_props`` — streaming predicate
@@ -180,6 +178,7 @@ def expectation_checks(sf_reader) -> pd.DataFrame:
     ``sf_reader(table, cols)`` -> Dataset, so the stage stays decoupled
     from file layout."""
     from .agg import combiner_agg
+    from .join import hash_join
 
     def _count(ds, fn) -> int:
         def cnt(b: pd.DataFrame) -> pd.DataFrame:
@@ -190,36 +189,17 @@ def expectation_checks(sf_reader) -> pd.DataFrame:
 
     def _anti_count(child, child_key: str, parent, parent_key: str) -> int:
         """# of child rows whose key is absent from the parent key set —
-        tagged-union partition anti-join on the key hash."""
-
-        def tag(side):
-            def fn(b: pd.DataFrame) -> pd.DataFrame:
-                key = child_key if side == 0 else parent_key
-                f = pd.DataFrame({"k": b[key].to_numpy(np.int64)})
-                if side == 1:
-                    f = f.drop_duplicates()
-                f["__side"] = np.int8(side)
-                f["__j"] = (
-                    pd.util.hash_array(f["k"].to_numpy()) % np.uint64(32)
-                ).astype(np.int64)
-                return f
-
-            return fn
-
-        def anti(g: pd.DataFrame) -> pd.DataFrame:
-            parents = set(g.loc[g["__side"] == 1, "k"].to_numpy())
-            ch = g.loc[g["__side"] == 0, "k"]
-            miss = (~ch.isin(parents)).sum()
-            return pd.DataFrame({"n": [int(miss)]})
-
-        part = (
-            child.map_batches(tag(0), batch_format="pandas")
-            .union(parent.map_batches(tag(1), batch_format="pandas"))
-            .groupby("__j")
-            .map_groups(anti, batch_format="pandas")
-            .to_pandas()
+        a left join onto the parent keys, counting the unmatched rows.
+        The keys are distinct per batch only: a key repeated across
+        batches multiplies its matched rows, never an unmatched one."""
+        keys = parent.map_batches(
+            lambda b: b[[parent_key]].drop_duplicates().assign(matched=True),
+            batch_format="pandas",
         )
-        return int(part["n"].sum())
+        joined = hash_join(
+            child, keys, child_key, parent_key, how="left", parts=32
+        )
+        return _count(joined, lambda b: b["matched"].isna())
 
     def _dup_count(ds, key: str) -> int:
         counts = combiner_agg(ds, [key], [("n", None, "count")])
